@@ -15,7 +15,7 @@ from pathlib import Path
 from . import oracle, pctl, reduction
 from .chain import Budget, explore
 from .pctl import has_placeholder, parse_formula, serialize_formula
-from .pushdown import Configuration, UnknownSymbolError, induced_chain, parse_model, validate_model, serialize_model, SimpleAssignment
+from .pushdown import Configuration, Ppds, UnknownSymbolError, induced_chain, parse_model, validate_model, serialize_model, SimpleAssignment
 from .rationals import RationalFormatError, parse_rational
 
 OK = 0
@@ -98,6 +98,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = parse_model(Path(args.model).read_text(encoding="utf-8"))
+    if isinstance(model, Ppds):
+        raise ValueError("eval supports stateless models only; this model has control states")
     problems = validate_model(model)
     if problems:
         raise ValueError(
@@ -114,16 +116,16 @@ def _cmd_eval(args) -> int:
     config = Configuration.parse(args.config)
     assignment = SimpleAssignment.identity(model.alphabet)
     gen = induced_chain(model, assignment, config)
-    budget = Budget(args.max_states, args.max_depth)
-    verdict = pctl.eval_state(gen, config.encode(), formula, budget)
-    print(f"verdict={verdict}")
+    evaluator = pctl.Evaluator(gen, Budget(args.max_states, args.max_depth))
+    state = config.encode()
+    interval = None
     if isinstance(formula, pctl.Prob):
-        if isinstance(formula.path, pctl.Next):
-            interval = pctl.prob_next(gen, config.encode(), formula.path.operand, budget)
-        else:
-            interval = pctl.prob_until(
-                gen, config.encode(), formula.path.left, formula.path.right, budget
-            )
+        interval = evaluator.prob_path(state, formula.path)
+        verdict = pctl.compare(interval, formula.comparison, formula.bound)
+    else:
+        verdict = evaluator.eval_state(state, formula)
+    print(f"verdict={verdict}")
+    if interval is not None:
         print(f"interval={interval}")
     return OK if verdict is pctl.TRUE else NEGATIVE
 

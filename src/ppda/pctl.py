@@ -10,6 +10,7 @@ the budget grows.
 """
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -230,10 +231,17 @@ _KEYWORD_RE = re.compile(r"[A-Za-z>=]+")
 _BOUND_RE = re.compile(r"\?t/2|\?\(1-t\)/2|-?\d+(?:/\d+)?")
 
 
+# Deepest operator nesting the parser accepts. The parser, the formula
+# hashes and the evaluator all recurse on nesting, so deeper input would
+# exhaust the interpreter stack; the reduction's formulas stay below 20.
+MAX_NESTING = 200
+
+
 class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -245,10 +253,17 @@ class _Scanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def open(self) -> None:
+        if self.depth == MAX_NESTING:
+            raise self.error(f"formula nested deeper than {MAX_NESTING} operators")
+        self.depth += 1
+        self.pos += 1
+
     def expect_close(self) -> None:
         self.skip_ws()
         if self.peek() != ")":
             raise self.error("expected ')'")
+        self.depth -= 1
         self.pos += 1
 
     def keyword(self) -> str:
@@ -301,7 +316,7 @@ class _Scanner:
                 return TRUE_FORMULA
         if self.peek() != "(":
             raise self.error("expected 'true' or '('")
-        self.pos += 1
+        self.open()
         kw = self.keyword()
         if kw == "ap":
             self.skip_ws()
@@ -330,7 +345,7 @@ class _Scanner:
         self.skip_ws()
         if self.peek() != "(":
             raise self.error("expected a path formula")
-        self.pos += 1
+        self.open()
         kw = self.keyword()
         if kw == "X":
             inner = self.state_formula()
@@ -583,7 +598,11 @@ class Evaluator:
                 variables.append(d)
 
         lo_values = _least_fixed_point(variables, self.gen.successors, sink_lo)
-        hi_values = _least_fixed_point(variables, self.gen.successors, sink_hi)
+        if sink_hi == sink_lo:
+            # Every sink is a point, so both bounds solve the same system.
+            hi_values = lo_values
+        else:
+            hi_values = _least_fixed_point(variables, self.gen.successors, sink_hi)
 
         # Memoize every state the solve settled exactly; popping chains
         # share suffixes heavily, so later queries reuse them as sinks.
@@ -614,9 +633,10 @@ def _least_fixed_point(
 
     Every successor of a variable is either a variable or a sink. On an
     acyclic variable graph the system is solved by back-substitution in
-    topological order; otherwise it is restricted to variables that can
-    reach positive mass and solved by exact Gaussian elimination (states
-    that cannot reach positive mass have value 0 in the least fixed point).
+    topological order. Otherwise it is restricted to the variables that can
+    reach positive mass and handed to ``_solve_linear`` (states that cannot
+    reach positive mass have value 0 in the least fixed point). On that
+    restriction the system has exactly one solution, which is the least one.
     """
     if not variables:
         return {}
@@ -687,33 +707,68 @@ def _solve_linear(
     edges: dict[ChainState, list[tuple[ChainState, Fraction]]],
     base: dict[ChainState, Fraction],
 ) -> dict[ChainState, Fraction]:
-    """Gaussian elimination for (I - P) x = b over exact rationals."""
-    n = len(variables)
-    index = {s: i for i, s in enumerate(variables)}
-    rows: list[list[Fraction]] = []
+    """Solve (I - P) x = b over exact rationals by sparse elimination.
+
+    Each row is a dict from column to coefficient, and ``occurs`` maps
+    each column to the uneliminated rows that hold it. Pivots are always
+    on the diagonal: the caller keeps only variables that reach positive
+    mass, so I - P is a nonsingular M-matrix and every Schur complement
+    keeps a positive diagonal. The next pivot is the variable of least
+    Markowitz count (row nonzeros - 1) * (column nonzeros - 1)
+    (Markowitz, Management Science 1957), taken from a lazily updated
+    heap with ties broken by state, so the order is deterministic. The
+    normalized pivot rows are then back-substituted in reverse order.
+    """
+    rows: dict[ChainState, dict[ChainState, Fraction]] = {s: {s: ONE} for s in variables}
     for s in variables:
-        row = [ZERO] * (n + 1)
-        row[index[s]] = ONE
+        row = rows[s]
         for t, p in edges[s]:
-            if t in index:
-                row[index[t]] -= p
-        row[n] = base[s]
-        rows.append(row)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
+            if t in rows:
+                row[t] = row.get(t, ZERO) - p
+    rhs = {s: base[s] for s in variables}
+    occurs: dict[ChainState, set[ChainState]] = {s: set() for s in variables}
+    for s, row in rows.items():
+        for c in row:
+            occurs[c].add(s)
+
+    def markowitz(s: ChainState) -> int:
+        return (len(rows[s]) - 1) * (len(occurs[s]) - 1)
+
+    heap = [(markowitz(s), s) for s in variables]
+    heapq.heapify(heap)
+    pivots: dict[ChainState, tuple[dict[ChainState, Fraction], Fraction]] = {}
+    while heap:
+        count, k = heapq.heappop(heap)
+        if k in pivots or count != markowitz(k):
+            continue
+        row = rows.pop(k)
+        pivot = row.pop(k)
+        if not pivot:
             raise ArithmeticError("singular until-probability system")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pivot_row = rows[col]
-        inv = ONE / pivot_row[col]
-        for j in range(col, n + 1):
-            pivot_row[j] *= inv
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                for j in range(col, n + 1):
-                    rows[r][j] -= factor * pivot_row[j]
-    return {s: rows[index[s]][n] for s in variables}
+        for c in row:
+            row[c] /= pivot
+            occurs[c].discard(k)
+        b = rhs.pop(k) / pivot
+        below = occurs.pop(k)
+        below.discard(k)
+        for r in below:
+            target = rows[r]
+            factor = target.pop(k)
+            for c, v in row.items():
+                if c in target:
+                    target[c] -= factor * v
+                else:
+                    target[c] = -factor * v
+                    occurs[c].add(r)
+            rhs[r] -= factor * b
+        pivots[k] = (row, b)
+        for s in below | row.keys():
+            heapq.heappush(heap, (markowitz(s), s))
+
+    values: dict[ChainState, Fraction] = {}
+    for k, (row, b) in reversed(pivots.items()):
+        values[k] = b - sum((v * values[c] for c, v in row.items()), ZERO)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,28 @@ class TestEval:
         )
         assert code == 2
 
+    def test_controlled_model_refused(self, tmp_path, capsys):
+        model = tmp_path / "controlled.bpa"
+        model.write_text("p: X -> q: X [1/2]\np: X -> p: X [1/2]\nq: X -> q: X [1]\n")
+        formula = tmp_path / "reach.pctl"
+        formula.write_text("(P> 0 (U true (ap X)))")
+        code = main(["eval", "--model", str(model), "--config", "p: X", "--formula", str(formula)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_deeply_nested_formula_refused(self, tmp_path, capsys):
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n")
+        formula = tmp_path / "deep.pctl"
+        formula.write_text("(not " * 3000 + "true" + ")" * 3000)
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestLemmas:
     def test_default_seed_passes(self, capsys):

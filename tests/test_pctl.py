@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ppda.chain import Budget, ChainGenerator
+from ppda.cli import main
 from ppda.pctl import (
+    MAX_NESTING,
     And,
     Atom,
     BoundPlaceholder,
@@ -29,6 +32,7 @@ from ppda.pctl import (
     prob_until,
     serialize_formula,
 )
+from ppda.pushdown import Configuration, SimpleAssignment, induced_chain, parse_model
 
 H = Fraction(1, 2)
 BUDGET = Budget(200, 50)
@@ -83,6 +87,14 @@ class TestParsing:
     def test_state_position_rejects_path_operator(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("(X true)")
+
+    def test_nesting_limit(self):
+        def nested(depth: int) -> str:
+            return "(not " * (depth - 1) + "(ap C)" + ")" * (depth - 1)
+
+        assert parse_formula(nested(MAX_NESTING)) is not None
+        with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+            parse_formula(nested(MAX_NESTING + 1))
 
 
 _names = st.sampled_from(["C", "F", "S", "N", "Z'", "X(A,B)", "P(_,B)", "G(1,1)", "p0"])
@@ -274,3 +286,77 @@ class TestBudgetMonotonicity:
                     seen_definite = verdict
                 assert verdict is seen_definite
         assert seen_definite is TRUE
+
+
+# A cyclic model: X and Y call each other, so the until
+# variables form cycles; the query's true value is 0 at X.
+CYCLIC_MODEL = """\
+X -> X Y [1/2]
+X -> ~ [1/2]
+Y -> X [1/2]
+Y -> Y Y [1/4]
+Y -> ~ [1/4]
+Z -> ~ [1]
+"""
+CYCLIC_QUERY = "(P> 0 (U (not (ap Z)) (ap Z)))"
+
+
+def _cyclic_chain() -> ChainGenerator:
+    model = parse_model(CYCLIC_MODEL)
+    return induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X",)))
+
+
+class TestCyclicSolve:
+    def test_gamblers_ruin_closed_form(self):
+        # Up with p = 1/3, down with 2/3: the win probability from i is
+        # (r^i - 1) / (r^N - 1) with r = (2/3) / (1/3) = 2.
+        n = 30
+        table = {str(i): [(str(i + 1), Fraction(1, 3)), (str(i - 1), Fraction(2, 3))]
+                 for i in range(1, n)}
+        table["0"] = [("0", Fraction(1))]
+        table[str(n)] = [(str(n), Fraction(1))]
+        gen = gen_from(table, {str(n): frozenset({"win"})}, initial="1")
+        for i in range(n + 1):
+            expected = Fraction(2**i - 1, 2**n - 1)
+            interval = prob_until(gen, str(i), TRUE_FORMULA, Atom("win"), Budget(100, 100))
+            assert interval == ProbInterval(expected, expected)
+
+    def test_random_chain_satisfies_its_equations(self):
+        # Each state moves among the others and leaks to "win" or "lose",
+        # so the system has one solution; elimination here needs fill-in.
+        rng = random.Random(7)
+        states = [f"s{i:02d}" for i in range(40)]
+        table = {"win": [("win", Fraction(1))], "lose": [("lose", Fraction(1))]}
+        for s in states:
+            targets = rng.sample(states, 3) + ["win", "lose"]
+            weights = [rng.randint(2, 9) for _ in range(3)] + [rng.randint(0, 1), 1]
+            table[s] = [(t, Fraction(w, sum(weights))) for t, w in zip(targets, weights)]
+        gen = gen_from(table, {"win": frozenset({"win"})}, initial="s00")
+        value = {"win": Fraction(1), "lose": Fraction(0)}
+        for s in states:
+            interval = prob_until(gen, s, TRUE_FORMULA, Atom("win"), Budget(100, 100))
+            assert interval.is_point
+            value[s] = interval.lo
+        for s in states:
+            assert value[s] == sum(p * value[t] for t, p in table[s])
+
+    def test_cyclic_model_intervals_nest(self):
+        gen = _cyclic_chain()
+        left, right = Not(Atom("Z")), Atom("Z")
+        intervals = [prob_until(gen, "X", left, right, Budget(n, 1000))
+                     for n in (100, 200, 400, 800)]
+        for wider, tighter in zip(intervals, intervals[1:]):
+            assert wider.lo <= tighter.lo <= tighter.hi <= wider.hi
+        assert all(interval.lo == 0 for interval in intervals)
+        assert intervals[-1].hi < intervals[0].hi
+
+    def test_eval_prints_the_solved_interval(self, tmp_path, capsys):
+        model = tmp_path / "cyclic.bpa"
+        model.write_text(CYCLIC_MODEL)
+        query = tmp_path / "query.pctl"
+        query.write_text(CYCLIC_QUERY)
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(query),
+                     "--max-states", "200", "--max-depth", "1000"])
+        expected = prob_until(_cyclic_chain(), "X", Not(Atom("Z")), Atom("Z"), Budget(200, 1000))
+        assert code == 1
+        assert capsys.readouterr().out == f"verdict=Unknown\ninterval={expected}\n"
