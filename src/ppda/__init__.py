@@ -21,6 +21,7 @@ from .pctl import (
     Atom,
     BoundPlaceholder,
     Comparison,
+    Evaluator,
     Next,
     Not,
     Prob,
@@ -29,24 +30,15 @@ from .pctl import (
     TrueFormula,
     Until,
     compare,
-    eval_state,
     parse_formula,
     parse_path_formula,
-    prob_next,
-    prob_until,
     serialize_formula,
 )
 from .pushdown import (
     Bpa,
     BpaRule,
     Configuration,
-    Dfa,
-    Ppds,
-    PpdsRule,
-    RegularAssignment,
     SimpleAssignment,
-    embed_bpa,
-    eval_assignment,
     induced_chain,
     parse_model,
     serialize_model,

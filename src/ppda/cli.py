@@ -7,15 +7,13 @@ fails), 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import os
-import random
 import sys
 from pathlib import Path
 
-from . import oracle, pctl, reduction
-from .chain import Budget, explore
+from . import oracle, pctl, properties, reduction
+from .chain import Budget
 from .pctl import has_placeholder, parse_formula, serialize_formula
-from .pushdown import Configuration, Ppds, UnknownSymbolError, induced_chain, parse_model, validate_model, serialize_model, SimpleAssignment
+from .pushdown import Configuration, SimpleAssignment, UnknownSymbolError, induced_chain, parse_model, serialize_model
 from .rationals import RationalFormatError, parse_rational
 
 OK = 0
@@ -98,13 +96,6 @@ def _cmd_solve(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = parse_model(Path(args.model).read_text(encoding="utf-8"))
-    if isinstance(model, Ppds):
-        raise ValueError("eval supports stateless models only; this model has control states")
-    problems = validate_model(model)
-    if problems:
-        raise ValueError(
-            "invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems)
-        )
     formula = parse_formula(Path(args.formula).read_text(encoding="utf-8").strip())
     if has_placeholder(formula):
         if args.t is None:
@@ -130,119 +121,15 @@ def _cmd_eval(args) -> int:
     return OK if verdict is pctl.TRUE else NEGATIVE
 
 
-# ---------------------------------------------------------------------------
-# Property suite ("lemmas")
-
-
-def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> str:
-    return "".join(rng.choice("AB") for _ in range(rng.randint(min_len, max_len)))
-
-
-def _random_instance(rng: random.Random, max_n: int, max_m: int) -> reduction.PcpInstance:
-    while True:
-        n = rng.randint(1, max_n)
-        pairs = tuple(
-            (_random_word(rng, max_m, 0), _random_word(rng, max_m, 0)) for _ in range(n)
-        )
-        if any(u or v for u, v in pairs):
-            return reduction.PcpInstance(pairs)
-
-
-def _check_complement(rng: random.Random, count: int = 1000) -> str | None:
-    for _ in range(count):
-        w = _random_word(rng, 20)
-        if reduction.rho(w + "Z'") + reduction.rho_bar(w + "Z'") != 1:
-            return f"complement identity fails for {w}"
-    return None
-
-
-def _check_uniqueness(rng: random.Random, count: int = 1000) -> str | None:
-    for _ in range(count):
-        w = _random_word(rng, 10)
-        wbar = _random_word(rng, 10)
-        while wbar == w:
-            wbar = _random_word(rng, 10)
-        if reduction.rho(w + "Z'") + reduction.rho_bar(wbar + "Z'") == 1:
-            return f"distinct words {w} / {wbar} sum to 1"
-    return None
-
-
-def _check_reachability(rng: random.Random, max_n: int, max_m: int, rounds: int = 3) -> str | None:
-    from .chain import path_probability
-
-    for _ in range(rounds):
-        instance = _random_instance(rng, min(max_n, 3), min(max_m, 3))
-        artifact = reduction.compile_instance(instance)
-        gen = artifact.chain
-        depth = 2 * (artifact.m + 1) + 1
-        result = explore(gen, Configuration(("Z",)).encode(), Budget(100000, depth))
-        found = {
-            s for s in result.settled | result.frontier if s.startswith("C ") or s == "C"
-        }
-        expected = set()
-        for word in oracle.index_words(instance.n, 2):
-            expected.add(reduction.guess_config(instance, word).encode())
-        if found != expected:
-            return f"reachable checkpoint set mismatch for {instance.pairs}"
-        word = next(oracle.index_words(instance.n, 2))
-        path = reduction.guess_path(instance, word)
-        if path_probability(gen, path) != reduction.guess_path_probability(instance, word):
-            return f"witness path probability mismatch for {instance.pairs}"
-    return None
-
-
-def _check_certification(
-    rng: random.Random, max_n: int, max_m: int, max_k: int, draws: int = 40
-) -> str | None:
-    for _ in range(draws):
-        instance = _random_instance(rng, max_n, max_m)
-        artifact = reduction.compile_instance(instance)
-        k = rng.randint(1, max_k)
-        word = tuple(rng.randint(1, instance.n) for _ in range(k))
-        report = reduction.certify(instance, word, artifact=artifact)
-        if report.formula_holds != report.is_solution:
-            return f"biconditional fails for {instance.pairs} word {word}"
-        # halving: the value at the branch states is twice the value at N
-        config = reduction.check_config(artifact, word)
-        budget = reduction.verification_budget(len(config.stack))
-        f_state = Configuration(("F",) + config.stack[1:]).encode()
-        s_state = Configuration(("S",) + config.stack[1:]).encode()
-        p1f = pctl.prob_until(
-            artifact.chain, f_state, artifact.phi1.left, artifact.phi1.right, budget
-        )
-        p2s = pctl.prob_until(
-            artifact.chain, s_state, artifact.phi2.left, artifact.phi2.right, budget
-        )
-        if report.p_phi1_at_N * 2 != p1f.lo or report.p_phi2_at_N * 2 != p2s.lo:
-            return f"halving fails for {instance.pairs} word {word}"
-        # agreement with the dyadic encoding when the erased words are nonempty
-        u = "".join(instance.pairs[j - 1][0] for j in word)
-        v = "".join(instance.pairs[j - 1][1] for j in word)
-        if u and p1f.lo != reduction.rho(u[::-1] + "Z'"):
-            return f"phi1 probability does not match encoding for {instance.pairs} {word}"
-        if v and p2s.lo != reduction.rho_bar(v[::-1] + "Z'"):
-            return f"phi2 probability does not match encoding for {instance.pairs} {word}"
-    return None
-
-
 def _cmd_lemmas(args) -> int:
-    seed_env = os.environ.get("PPDA_SEED")
-    seed = int(seed_env) if seed_env is not None else args.seed
     try:
         max_n, max_m, max_k = (int(p) for p in args.sizes.split(","))
         if max_n < 1 or max_m < 1 or max_k < 1:
             raise ValueError
     except ValueError:
         raise ValueError(f"--sizes must be 'n,m,k' with positive integers, got {args.sizes!r}")
-    checks = [
-        ("complement-identity", lambda rng: _check_complement(rng)),
-        ("complement-uniqueness", lambda rng: _check_uniqueness(rng)),
-        ("checkpoint-reachability", lambda rng: _check_reachability(rng, max_n, max_m)),
-        ("certification-biconditional", lambda rng: _check_certification(rng, max_n, max_m, max_k)),
-    ]
     failures = 0
-    for name, check in checks:
-        failure = check(random.Random(seed))
+    for name, failure in properties.run_suite(args.seed, max_n, max_m, max_k):
         if failure is None:
             print(f"PASS {name}")
         else:

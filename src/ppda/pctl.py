@@ -769,25 +769,3 @@ def _solve_linear(
     for k, (row, b) in reversed(pivots.items()):
         values[k] = b - sum((v * values[c] for c, v in row.items()), ZERO)
     return values
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
-
-
-def eval_state(gen: ChainGenerator, state: ChainState, formula: StateFormula, budget: Budget) -> ThreeValued:
-    return Evaluator(gen, budget).eval_state(state, formula)
-
-
-def prob_next(gen: ChainGenerator, state: ChainState, formula: StateFormula, budget: Budget) -> ProbInterval:
-    return Evaluator(gen, budget).prob_next(state, formula)
-
-
-def prob_until(
-    gen: ChainGenerator,
-    state: ChainState,
-    f1: StateFormula,
-    f2: StateFormula,
-    budget: Budget,
-) -> ProbInterval:
-    return Evaluator(gen, budget).prob_until(state, f1, f2)

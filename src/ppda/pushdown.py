@@ -1,22 +1,21 @@
-"""Probabilistic pushdown processes and their induced Markov chains.
+"""Stateless probabilistic pushdown processes (pBPA) and their induced Markov chains.
 
-Two model flavors: ``Bpa`` (stateless, the main object of study here) and
-``Ppds`` (with control states). Configurations are finite stack words with
-the top symbol leftmost; rewriting the top symbol by a rule body of length
-at most two induces a Markov chain over configurations. A configuration
-with an empty stack is dead: it gets a probability-1 self-loop and
-satisfies no atomic proposition, which keeps the transition relation total.
+A ``Bpa`` has no control states: a configuration is a finite stack word
+with the top symbol leftmost, and rewriting the top symbol by a rule body
+of length at most two induces a Markov chain over configurations. A
+configuration with an empty stack is dead: it gets a probability-1
+self-loop and satisfies no atomic proposition, which keeps the transition
+relation total.
 
-Atomic propositions are interpreted by assignments: a simple assignment
-checks the head against a set, a regular assignment runs a DFA over the
-stack read bottom-up (control state first, when present).
+Atomic propositions are interpreted by a ``SimpleAssignment``: a
+proposition holds exactly when the head of the stack is in its set.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Union
+from typing import Mapping
 
 from .chain import ChainGenerator
 from .rationals import RationalFormatError, format_rational, parse_rational
@@ -36,10 +35,6 @@ class UnknownSymbolError(KeyError):
     """A configuration head is not part of the model's stack alphabet."""
 
 
-class UndeclaredPropositionError(KeyError):
-    """An assignment was queried for a proposition it does not declare."""
-
-
 @dataclass(frozen=True)
 class ModelViolation:
     subject: str
@@ -48,31 +43,23 @@ class ModelViolation:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A stack word over the alphabet, top symbol first; control optional."""
+    """A stack word over the alphabet, top symbol first."""
 
     stack: tuple[str, ...]
-    control: str | None = None
 
     @property
     def head(self) -> str | None:
         return self.stack[0] if self.stack else None
 
     def encode(self) -> str:
-        body = " ".join(self.stack) if self.stack else EMPTY_MARK
-        if self.control is None:
-            return body
-        return f"{self.control}: {body}"
+        return " ".join(self.stack) if self.stack else EMPTY_MARK
 
     @classmethod
     def parse(cls, text: str) -> "Configuration":
         tokens = text.split()
-        control = None
-        if tokens and tokens[0].endswith(":"):
-            control = tokens[0][:-1]
-            tokens = tokens[1:]
         if tokens == [EMPTY_MARK]:
             tokens = []
-        return cls(tuple(tokens), control)
+        return cls(tuple(tokens))
 
 
 @dataclass(frozen=True)
@@ -104,92 +91,32 @@ class Bpa:
         return {head: tuple(rules) for head, rules in grouped.items()}
 
 
-@dataclass(frozen=True)
-class PpdsRule:
-    state: str
-    head: str
-    target_state: str
-    body: tuple[str, ...]
-    probability: Fraction
-
-
-@dataclass(frozen=True)
-class Ppds:
-    control_states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    rules: tuple[PpdsRule, ...]
-
-    @staticmethod
-    def make(rules: list[PpdsRule]) -> "Ppds":
-        states: set[str] = set()
-        symbols: set[str] = set()
-        for rule in rules:
-            states.update((rule.state, rule.target_state))
-            symbols.add(rule.head)
-            symbols.update(rule.body)
-        ordered = tuple(sorted(rules, key=lambda r: (r.state, r.head, r.target_state, r.body)))
-        return Ppds(tuple(sorted(states)), tuple(sorted(symbols)), ordered)
-
-    @cached_property
-    def rules_by_head(self) -> dict[tuple[str, str], tuple[PpdsRule, ...]]:
-        grouped: dict[tuple[str, str], list[PpdsRule]] = {}
-        for rule in self.rules:
-            grouped.setdefault((rule.state, rule.head), []).append(rule)
-        return {key: tuple(rules) for key, rules in grouped.items()}
-
-
-Model = Union[Bpa, Ppds]
-
-
-def validate_model(model: Model) -> list[ModelViolation]:
+def validate_model(model: Bpa) -> list[ModelViolation]:
     """Rule totality per head, probability sums, and body-length checks."""
     out: list[ModelViolation] = []
-    if isinstance(model, Bpa):
-        per_head: dict[str, Fraction] = {}
-        seen: set[tuple[str, tuple[str, ...]]] = set()
-        for rule in model.rules:
-            subject = f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
-            if len(rule.body) > 2:
-                out.append(ModelViolation(subject, "body longer than 2 symbols"))
-            if not 0 < rule.probability <= 1:
-                out.append(ModelViolation(subject, f"probability {rule.probability} outside (0,1]"))
-            key = (rule.head, rule.body)
-            if key in seen:
-                out.append(ModelViolation(subject, "duplicate rule"))
-            seen.add(key)
-            per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + rule.probability
-        for symbol in model.alphabet:
-            total = per_head.get(symbol)
-            if total is None:
-                out.append(ModelViolation(symbol, "no rule for this symbol"))
-            elif total != 1:
-                out.append(ModelViolation(symbol, f"rule probabilities sum to {total}, not 1"))
-        return out
-    per_key: dict[tuple[str, str], Fraction] = {}
-    seen_p: set[tuple] = set()
+    per_head: dict[str, Fraction] = {}
+    seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
-        subject = f"{rule.state}: {rule.head} -> {rule.target_state}: {' '.join(rule.body) or EMPTY_MARK}"
+        subject = f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
         if len(rule.body) > 2:
             out.append(ModelViolation(subject, "body longer than 2 symbols"))
         if not 0 < rule.probability <= 1:
             out.append(ModelViolation(subject, f"probability {rule.probability} outside (0,1]"))
-        key = (rule.state, rule.head, rule.target_state, rule.body)
-        if key in seen_p:
+        key = (rule.head, rule.body)
+        if key in seen:
             out.append(ModelViolation(subject, "duplicate rule"))
-        seen_p.add(key)
-        head_key = (rule.state, rule.head)
-        per_key[head_key] = per_key.get(head_key, Fraction(0)) + rule.probability
-    for state in model.control_states:
-        for symbol in model.alphabet:
-            total = per_key.get((state, symbol))
-            if total is None:
-                out.append(ModelViolation(f"{state}: {symbol}", "no rule for this head"))
-            elif total != 1:
-                out.append(ModelViolation(f"{state}: {symbol}", f"rule probabilities sum to {total}, not 1"))
+        seen.add(key)
+        per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + rule.probability
+    for symbol in model.alphabet:
+        total = per_head.get(symbol)
+        if total is None:
+            out.append(ModelViolation(symbol, "no rule for this symbol"))
+        elif total != 1:
+            out.append(ModelViolation(symbol, f"rule probabilities sum to {total}, not 1"))
     return out
 
 
-def step(model: Model, config: Configuration) -> list[tuple[Configuration, Fraction]]:
+def step(model: Bpa, config: Configuration) -> list[tuple[Configuration, Fraction]]:
     """All one-step successors of ``config`` with their probabilities.
 
     The empty-stack configuration yields the single self-loop with
@@ -198,34 +125,12 @@ def step(model: Model, config: Configuration) -> list[tuple[Configuration, Fract
     if not config.stack:
         return [(config, ONE)]
     head, rest = config.stack[0], config.stack[1:]
-    if isinstance(model, Bpa):
-        if config.control is not None:
-            raise UnknownSymbolError("stateless model cannot step a controlled configuration")
-        rules = model.rules_by_head.get(head)
-        if rules is None:
-            raise UnknownSymbolError(head)
-        successors = [(Configuration(rule.body + rest), rule.probability) for rule in rules]
-    else:
-        if config.control is None:
-            raise UnknownSymbolError("controlled model needs a control state")
-        rules_p = model.rules_by_head.get((config.control, head))
-        if rules_p is None:
-            raise UnknownSymbolError(f"{config.control}: {head}")
-        successors = [
-            (Configuration(rule.body + rest, rule.target_state), rule.probability)
-            for rule in rules_p
-        ]
+    rules = model.rules_by_head.get(head)
+    if rules is None:
+        raise UnknownSymbolError(head)
+    successors = [(Configuration(rule.body + rest), rule.probability) for rule in rules]
     successors.sort(key=lambda cp: cp[0].encode())
     return successors
-
-
-def embed_bpa(bpa: Bpa, control: str = "q") -> Ppds:
-    """Lossless embedding of a stateless model as a one-state process."""
-    rules = [
-        PpdsRule(control, rule.head, control, rule.body, rule.probability)
-        for rule in bpa.rules
-    ]
-    return Ppds.make(rules)
 
 
 # ---------------------------------------------------------------------------
@@ -247,110 +152,29 @@ class SimpleAssignment:
         return SimpleAssignment({s: frozenset([s]) for s in symbols})
 
 
-@dataclass(frozen=True)
-class Dfa:
-    """Deterministic automaton over symbol names; missing transitions reject."""
-
-    initial: str
-    accepting: frozenset[str]
-    transitions: Mapping[tuple[str, str], str]
-
-    def accepts(self, word) -> bool:
-        state = self.initial
-        for symbol in word:
-            nxt = self.transitions.get((state, symbol))
-            if nxt is None:
-                return False
-            state = nxt
-        return state in self.accepting
-
-
-@dataclass(frozen=True)
-class RegularAssignment:
-    """Propositions as regular sets of configurations.
-
-    The automaton reads the control state first (when present), then the
-    stack from the bottom up.
-    """
-
-    automata: Mapping[str, Dfa]
-
-    def propositions(self) -> tuple[str, ...]:
-        return tuple(sorted(self.automata))
-
-
-Assignment = Union[SimpleAssignment, RegularAssignment]
-
-
-def head_check_dfa(heads: frozenset[str], symbols) -> Dfa:
-    """A two-state DFA equivalent to a simple-assignment head set."""
-    transitions = {}
-    for state in ("in", "out"):
-        for symbol in symbols:
-            transitions[(state, symbol)] = "in" if symbol in heads else "out"
-    return Dfa("out", frozenset(["in"]), transitions)
-
-
-def eval_assignment(assignment: Assignment, proposition: str, config: Configuration) -> bool:
-    if isinstance(assignment, SimpleAssignment):
-        heads = assignment.heads.get(proposition)
-        if heads is None:
-            raise UndeclaredPropositionError(proposition)
-        if not config.stack:
-            return False
-        if config.control is not None:
-            # Head sets of controlled models mix (state, symbol) pairs and
-            # bare control states.
-            return (config.control, config.head) in heads or config.control in heads
-        return config.head in heads
-    dfa = assignment.automata.get(proposition)
-    if dfa is None:
-        raise UndeclaredPropositionError(proposition)
-    word = list(reversed(config.stack))
-    if config.control is not None:
-        word.insert(0, config.control)
-    return dfa.accepts(word)
-
-
-def induced_chain(model: Model, assignment: Assignment, start: Configuration) -> ChainGenerator:
+def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> ChainGenerator:
     """The Markov chain over configurations, labeled by the assignment."""
     problems = validate_model(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems))
-    propositions = assignment.propositions()
 
     def successors(state: str):
         config = Configuration.parse(state)
         return [(cfg.encode(), p) for cfg, p in step(model, config)]
 
-    if isinstance(assignment, SimpleAssignment):
-        # Invert the head sets once: label lookup becomes one dict access.
-        by_key: dict = {}
-        for prop, heads in assignment.heads.items():
-            for head in heads:
-                by_key.setdefault(head, set()).add(prop)
-        inverted = {key: frozenset(props) for key, props in by_key.items()}
-        empty: frozenset[str] = frozenset()
+    # Invert the head sets once: label lookup becomes one dict access.
+    by_head: dict[str, set[str]] = {}
+    for prop, heads in assignment.heads.items():
+        for head in heads:
+            by_head.setdefault(head, set()).add(prop)
+    inverted = {head: frozenset(props) for head, props in by_head.items()}
+    empty: frozenset[str] = frozenset()
 
-        def labels(state: str):
-            config = Configuration.parse(state)
-            if not config.stack:
-                return empty
-            if config.control is not None:
-                return inverted.get((config.control, config.head), empty) | inverted.get(
-                    config.control, empty
-                )
-            return inverted.get(config.head, empty)
-
-    else:
-
-        def labels(state: str):
-            config = Configuration.parse(state)
-            if not config.stack:
-                return frozenset()
-            return frozenset(
-                p for p in propositions if eval_assignment(assignment, p, config)
-            )
+    def labels(state: str):
+        config = Configuration.parse(state)
+        if not config.stack:
+            return empty
+        return inverted.get(config.head, empty)
 
     return ChainGenerator(start.encode(), successors, labels)
 
@@ -359,7 +183,7 @@ def induced_chain(model: Model, assignment: Assignment, start: Configuration) ->
 # Text format
 
 
-def _parse_rule_line(tokens: list[str], line_no: int):
+def _parse_rule_line(tokens: list[str], line_no: int) -> BpaRule:
     try:
         arrow = tokens.index("->")
     except ValueError:
@@ -372,62 +196,32 @@ def _parse_rule_line(tokens: list[str], line_no: int):
         prob = parse_rational(rhs[-1][1:-1])
     except RationalFormatError as exc:
         raise ModelSyntaxError(str(exc), line_no) from None
-    rhs = rhs[:-1]
-
-    def split_control(parts: list[str]):
-        if parts and parts[0].endswith(":"):
-            return parts[0][:-1], parts[1:]
-        return None, parts
-
-    lhs_control, lhs_syms = split_control(lhs)
-    if len(lhs_syms) != 1:
+    body = rhs[:-1]
+    if len(lhs) != 1:
         raise ModelSyntaxError("head must be a single symbol", line_no)
-    rhs_control, rhs_syms = split_control(rhs)
-    if rhs_syms == [EMPTY_MARK]:
-        rhs_syms = []
-    if len(rhs_syms) > 2:
+    if body == [EMPTY_MARK]:
+        body = []
+    if len(body) > 2:
         raise ModelSyntaxError("rule body longer than 2 symbols", line_no)
-    if EMPTY_MARK in rhs_syms:
+    if EMPTY_MARK in body:
         raise ModelSyntaxError("'~' cannot be combined with symbols", line_no)
-    return lhs_control, lhs_syms[0], rhs_control, tuple(rhs_syms), prob
+    return BpaRule(lhs[0], tuple(body), prob)
 
 
-def parse_model(text: str) -> Model:
-    bpa_rules: list[BpaRule] = []
-    ppds_rules: list[PpdsRule] = []
+def parse_model(text: str) -> Bpa:
+    rules: list[BpaRule] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        lhs_control, head, rhs_control, body, prob = _parse_rule_line(line.split(), line_no)
-        if (lhs_control is None) != (rhs_control is None):
-            raise ModelSyntaxError("control state required on both sides or neither", line_no)
-        if lhs_control is None:
-            if ppds_rules:
-                raise ModelSyntaxError("cannot mix stateless and controlled rules", line_no)
-            bpa_rules.append(BpaRule(head, body, prob))
-        else:
-            if bpa_rules:
-                raise ModelSyntaxError("cannot mix stateless and controlled rules", line_no)
-            ppds_rules.append(PpdsRule(lhs_control, head, rhs_control, body, prob))
-    if ppds_rules:
-        return Ppds.make(ppds_rules)
-    if not bpa_rules:
+        if line:
+            rules.append(_parse_rule_line(line.split(), line_no))
+    if not rules:
         raise ModelSyntaxError("empty model", 1)
-    return Bpa.make(bpa_rules)
+    return Bpa.make(rules)
 
 
-def serialize_model(model: Model) -> str:
+def serialize_model(model: Bpa) -> str:
     lines = []
-    if isinstance(model, Bpa):
-        for rule in model.rules:
-            body = " ".join(rule.body) if rule.body else EMPTY_MARK
-            lines.append(f"{rule.head} -> {body} [{format_rational(rule.probability)}]")
-    else:
-        for rule in model.rules:
-            body = " ".join(rule.body) if rule.body else EMPTY_MARK
-            lines.append(
-                f"{rule.state}: {rule.head} -> {rule.target_state}: {body} "
-                f"[{format_rational(rule.probability)}]"
-            )
+    for rule in model.rules:
+        body = " ".join(rule.body) if rule.body else EMPTY_MARK
+        lines.append(f"{rule.head} -> {body} [{format_rational(rule.probability)}]")
     return "\n".join(lines) + "\n"

@@ -190,23 +190,27 @@ def load_instance(path) -> PcpInstance:
 # Dyadic encodings
 
 
+# The digit of each symbol under theta and theta_bar; they differ on A/B only.
+_THETA = {"Z'": 1, "A": 1, "B": 0}
+_THETA_BAR = {"Z'": 1, "A": 0, "B": 1}
+
+
+def _digit(digits: Mapping[str, int], x: str) -> int:
+    if x not in digits:
+        raise DomainError(f"theta is defined on A, B, Z' only, got {x!r}")
+    return digits[x]
+
+
 def theta(x: str) -> int:
-    if x == "Z'":
-        return 1
-    if x == "A":
-        return 1
-    if x == "B":
-        return 0
-    raise DomainError(f"theta is defined on A, B, Z' only, got {x!r}")
+    return _digit(_THETA, x)
 
 
 def theta_bar(x: str) -> int:
-    if x == "Z'":
-        return 1
-    return 1 - theta(x)
+    return _digit(_THETA_BAR, x)
 
 
-def _rho_body(word: str) -> str:
+def _dyadic(digits: Mapping[str, int], word: str) -> Fraction:
+    """Sum of digit(x_i) * 2^-i over the body, plus the final Z' term."""
     if not word.endswith("Z'"):
         raise MalformedWordError(f"word must end in Z': {word!r}")
     body = word[:-2]
@@ -215,26 +219,21 @@ def _rho_body(word: str) -> str:
     bad = set(body) - set(LETTERS)
     if bad:
         raise MalformedWordError(f"word body must be over A/B, got {sorted(bad)}")
-    return body
+    total = sum(
+        (Fraction(digits[c], 2 ** (i + 1)) for i, c in enumerate(body)),
+        Fraction(0),
+    )
+    return total + Fraction(1, 2 ** (len(body) + 1))
 
 
 def rho(word: str) -> Fraction:
     """Dyadic weight: sum of theta(x_i) * 2^-i plus the final Z' term."""
-    body = _rho_body(word)
-    total = sum(
-        (Fraction(theta(c), 2 ** (i + 1)) for i, c in enumerate(body)),
-        Fraction(0),
-    )
-    return total + Fraction(1, 2 ** (len(body) + 1))
+    return _dyadic(_THETA, word)
 
 
 def rho_bar(word: str) -> Fraction:
-    body = _rho_body(word)
-    total = sum(
-        (Fraction(theta_bar(c), 2 ** (i + 1)) for i, c in enumerate(body)),
-        Fraction(0),
-    )
-    return total + Fraction(1, 2 ** (len(body) + 1))
+    """Dyadic weight: sum of theta_bar(x_i) * 2^-i plus the final Z' term."""
+    return _dyadic(_THETA_BAR, word)
 
 
 # ---------------------------------------------------------------------------

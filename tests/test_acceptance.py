@@ -13,8 +13,8 @@ from itertools import product
 from pathlib import Path
 
 import conftest
-from ppda import reduction
-from ppda.chain import Budget, explore, path_probability
+from ppda import properties, reduction
+from ppda.chain import Budget
 from ppda.data import corpus_path
 from ppda.oracle import (
     brute_force_pcp,
@@ -23,18 +23,15 @@ from ppda.oracle import (
     index_words,
     load_corpus,
 )
-from ppda.pctl import TRUE, UNKNOWN, eval_state, prob_until
+from ppda.pctl import TRUE, UNKNOWN, Evaluator
 from ppda.reduction import (
     PcpInstance,
     Variant,
     certify,
     check_solution,
     compile_instance,
-    guess_config,
-    guess_path,
+    guess_path_probability,
     instantiate_top_formula,
-    rho,
-    rho_bar,
     sweep_session,
 )
 
@@ -58,35 +55,16 @@ class _Timer:
         assert elapsed < self.bound, f"{self.name} exceeded {self.bound}s ({elapsed:.2f}s)"
 
 
-def _random_word(rng: random.Random, low: int, high: int) -> str:
-    return "".join(rng.choice("AB") for _ in range(rng.randint(low, high)))
-
-
 def test_criterion_1_complement_identity():
     timer = _Timer("criterion-1 complement-identity", 1.0)
-    rng = random.Random(1001)
-    ok = True
-    for _ in range(1000):
-        word = _random_word(rng, 1, 20)
-        if rho(word + "Z'") + rho_bar(word + "Z'") != 1:
-            ok = False
-            break
-    timer.finish(ok, "1000 words")
+    failure = properties.complement_identity(random.Random(1001), 1000)
+    timer.finish(failure is None, failure or "1000 words")
 
 
 def test_criterion_2_complement_uniqueness():
     timer = _Timer("criterion-2 complement-uniqueness", 1.0)
-    rng = random.Random(1002)
-    ok = True
-    for _ in range(1000):
-        w = _random_word(rng, 1, 10)
-        wbar = _random_word(rng, 1, 10)
-        while wbar == w:
-            wbar = _random_word(rng, 1, 10)
-        if rho(w + "Z'") + rho_bar(wbar + "Z'") == 1:
-            ok = False
-            break
-    timer.finish(ok, "1000 pairs")
+    failure = properties.complement_uniqueness(random.Random(1002), 1000)
+    timer.finish(failure is None, failure or "1000 pairs")
 
 
 def test_criterion_3_worked_certification():
@@ -155,14 +133,10 @@ def test_criterion_4_biconditional_sweep():
 
 def test_criterion_5_bounded_reachability():
     timer = _Timer("criterion-5 bounded-reachability", 10.0)
-    artifact = compile_instance(P1)
-    depth = 2 * (artifact.m + 1) + 1
-    region = explore(artifact.chain, "Z", Budget(max_states=100000, max_depth=depth))
-    found = {s for s in region.settled | region.frontier if s.startswith("C ")}
-    expected = {guess_config(P1, w).encode() for w in index_words(P1.n, 2)}
-    witness_prob = path_probability(artifact.chain, guess_path(P1, (1, 2)))
-    ok = found == expected and witness_prob == F(1, 18)
-    timer.finish(ok, f"{len(found)} checkpoint configurations")
+    failure = properties.checkpoint_reachability(P1, (1, 2))
+    ok = failure is None and guess_path_probability(P1, (1, 2)) == F(1, 18)
+    checkpoints = len(list(index_words(P1.n, 2)))
+    timer.finish(ok, failure or f"{checkpoints} checkpoint configurations")
 
 
 def test_criterion_6_oracle_equivalence():
@@ -188,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
                 lambda s: right(gen.labels(s)),
                 max_depth=4 * len(stack) + 8,
             )
-            interval = prob_until(gen, state, phi.left, phi.right, budget)
+            interval = Evaluator(gen, budget).prob_until(state, phi.left, phi.right)
             if not (interval.is_point and interval.lo == expected):
                 ok = False
         if not ok:
@@ -227,14 +201,14 @@ def test_criterion_7_end_to_end_search_and_eval(capsys):
         top = instantiate_top_formula(artifact, certified.t)
         k, m = len(witness), artifact.m
         budget = Budget(20000, max((k + 1) * (m + 1) + 6, 2 * k * m + 16))
-        ok = ok and eval_state(artifact.chain, "Z", top, budget) is TRUE
+        ok = ok and Evaluator(artifact.chain, budget).eval_state("Z", top) is TRUE
 
     # and is never reported True on the hopeless instance, at any budget tried
     hopeless = compile_instance(PcpInstance((("A", "B"),)))
     for t in (F(1, 2), F(3, 16)):
         top = instantiate_top_formula(hopeless, t)
         for budget in (Budget(200, 8), Budget(2000, 16), Budget(6000, 24)):
-            verdict = eval_state(hopeless.chain, "Z", top, budget)
+            verdict = Evaluator(hopeless.chain, budget).eval_state("Z", top)
             ok = ok and verdict is UNKNOWN
     timer.finish(ok)
 

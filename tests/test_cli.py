@@ -212,6 +212,17 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_invalid_model_refused(self, tmp_path, capsys):
+        model = tmp_path / "deficient.bpa"
+        model.write_text("X -> X [1/2]\nX -> ~ [1/4]\n")
+        formula = tmp_path / "reach.pctl"
+        formula.write_text("(P> 0 (U true (ap X)))")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid model: X: rule probabilities sum to 3/4, not 1\n"
+
     def test_deeply_nested_formula_refused(self, tmp_path, capsys):
         model = tmp_path / "m.bpa"
         model.write_text("X -> ~ [1]\n")
@@ -230,13 +241,6 @@ class TestLemmas:
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
-
-    def test_seed_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("PPDA_SEED", "7")
-        assert main(["lemmas"]) == 0
-        first = capsys.readouterr().out
-        assert main(["lemmas", "--seed", "99"]) == 0
-        assert capsys.readouterr().out == first
 
     def test_invalid_sizes(self):
         assert main(["lemmas", "--sizes", "3,3"]) == 2

@@ -80,7 +80,7 @@ class TestEnumeration:
             ):
                 f1, f2 = _predicates(gen, left, right)
                 expected = enumerate_until_probability(gen, state, f1, f2, 4 * len(stack) + 8)
-                interval = pctl.prob_until(gen, state, phi.left, phi.right, budget)
+                interval = pctl.Evaluator(gen, budget).prob_until(state, phi.left, phi.right)
                 assert interval.is_point and interval.lo == expected
 
 

@@ -13,6 +13,7 @@ from ppda.pctl import (
     BoundPlaceholder,
     BoundRangeError,
     Comparison,
+    Evaluator,
     FALSE,
     FormulaSyntaxError,
     Next,
@@ -25,11 +26,8 @@ from ppda.pctl import (
     UNKNOWN,
     Until,
     compare,
-    eval_state,
     parse_formula,
     parse_path_formula,
-    prob_next,
-    prob_until,
     serialize_formula,
 )
 from ppda.pushdown import Configuration, SimpleAssignment, induced_chain, parse_model
@@ -149,28 +147,28 @@ class TestCompare:
 class TestEvalState:
     def test_atom_label_lookup(self):
         gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"C"})})
-        assert eval_state(gen, "a", Atom("C"), BUDGET) is TRUE
-        assert eval_state(gen, "a", Atom("F"), BUDGET) is FALSE
+        assert Evaluator(gen, BUDGET).eval_state("a", Atom("C")) is TRUE
+        assert Evaluator(gen, BUDGET).eval_state("a", Atom("F")) is FALSE
 
     def test_double_negation(self):
         gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"C"})})
         for f in (Atom("C"), Atom("F"), And(Atom("C"), Not(Atom("F")))):
-            assert eval_state(gen, "a", Not(Not(f)), BUDGET) is eval_state(gen, "a", f, BUDGET)
+            doubled = Evaluator(gen, BUDGET).eval_state("a", Not(Not(f)))
+            assert doubled is Evaluator(gen, BUDGET).eval_state("a", f)
 
     def test_and_commutative(self):
         table = {"a": [("b", H), ("c", H)], "b": [("b", Fraction(1))], "c": [("c", Fraction(1))]}
         gen = gen_from(table, {"b": frozenset({"goal"})})
         left = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("goal")))
         right = Atom("goal")
-        assert eval_state(gen, "a", And(left, right), BUDGET) is eval_state(
-            gen, "a", And(right, left), BUDGET
-        )
+        forward = Evaluator(gen, BUDGET).eval_state("a", And(left, right))
+        assert forward is Evaluator(gen, BUDGET).eval_state("a", And(right, left))
 
     def test_placeholder_rejected(self):
         gen = gen_from({"a": [("a", Fraction(1))]}, {})
         formula = Prob(Comparison.EQ, BoundPlaceholder.T_HALF, Next(TRUE_FORMULA))
         with pytest.raises(PlaceholderError):
-            eval_state(gen, "a", formula, BUDGET)
+            Evaluator(gen, BUDGET).eval_state("a", formula)
 
 
 class TestProbNext:
@@ -179,11 +177,12 @@ class TestProbNext:
             {"a": [("b", H), ("c", H)]},
             {"b": frozenset({"p"}), "c": frozenset({"p"})},
         )
-        assert prob_next(gen, "a", Atom("p"), BUDGET) == ProbInterval(Fraction(1), Fraction(1))
+        interval = Evaluator(gen, BUDGET).prob_next("a", Atom("p"))
+        assert interval == ProbInterval(Fraction(1), Fraction(1))
 
     def test_equiprobable_split(self):
         gen = gen_from({"a": [("b", H), ("c", H)]}, {"b": frozenset({"p"})})
-        assert prob_next(gen, "a", Atom("p"), BUDGET) == ProbInterval(H, H)
+        assert Evaluator(gen, BUDGET).prob_next("a", Atom("p")) == ProbInterval(H, H)
 
     def test_unknown_successor_widens(self):
         # c's verdict needs more depth than the budget allows, so the
@@ -197,28 +196,28 @@ class TestProbNext:
         }
         gen = gen_from(chain, {"e": frozenset({"q"})})
         inner = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("q")))
-        interval = prob_next(gen, "a", inner, Budget(1, 1))
+        interval = Evaluator(gen, Budget(1, 1)).prob_next("a", inner)
         assert interval.lo == Fraction(0) and interval.hi == H
-        assert prob_next(gen, "a", inner, Budget(50, 50)) == ProbInterval(H, H)
+        assert Evaluator(gen, Budget(50, 50)).prob_next("a", inner) == ProbInterval(H, H)
 
 
 class TestProbUntil:
     def test_goal_at_start(self):
         gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"p"})})
-        assert prob_until(gen, "a", TRUE_FORMULA, Atom("p"), BUDGET) == ProbInterval(
+        assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("p")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
 
     def test_dead_self_loop_is_exact_zero(self):
         gen = gen_from({"a": [("a", Fraction(1))]}, {})
-        assert prob_until(gen, "a", TRUE_FORMULA, Atom("p"), BUDGET) == ProbInterval(
+        assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("p")) == ProbInterval(
             Fraction(0), Fraction(0)
         )
 
     def test_escape_from_self_loop_solves_exactly(self):
         table = {"x": [("x", H), ("y", H)], "y": [("y", Fraction(1))]}
         gen = gen_from(table, {"y": frozenset({"goal"})}, initial="x")
-        assert prob_until(gen, "x", TRUE_FORMULA, Atom("goal"), BUDGET) == ProbInterval(
+        assert Evaluator(gen, BUDGET).prob_until("x", TRUE_FORMULA, Atom("goal")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
 
@@ -229,7 +228,7 @@ class TestProbUntil:
             "goal": [("goal", Fraction(1))],
         }
         gen = gen_from(table, {"goal": frozenset({"goal"})})
-        assert prob_until(gen, "a", TRUE_FORMULA, Atom("goal"), BUDGET) == ProbInterval(
+        assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("goal")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
 
@@ -240,25 +239,25 @@ class TestProbUntil:
             "goal": [("goal", Fraction(1))],
         }
         gen = gen_from(table, {"goal": frozenset({"goal"})})
-        interval = prob_until(gen, "a", Not(Atom("blocked")), Atom("goal"), BUDGET)
+        interval = Evaluator(gen, BUDGET).prob_until("a", Not(Atom("blocked")), Atom("goal"))
         assert interval == ProbInterval(Fraction(1), Fraction(1))
         gen2 = gen_from(table, {"goal": frozenset({"goal"}), "bad": frozenset({"blocked"})})
-        interval = prob_until(gen2, "a", Not(Atom("blocked")), Atom("goal"), BUDGET)
+        interval = Evaluator(gen2, BUDGET).prob_until("a", Not(Atom("blocked")), Atom("goal"))
         assert interval == ProbInterval(H, H)
 
     def test_frontier_keeps_interval_open(self):
         table = {str(i): [(str(i + 1), Fraction(1))] for i in range(10)}
         table["10"] = [("10", Fraction(1))]
         gen = gen_from(table, {"10": frozenset({"goal"})}, initial="0")
-        interval = prob_until(gen, "0", TRUE_FORMULA, Atom("goal"), Budget(5, 5))
+        interval = Evaluator(gen, Budget(5, 5)).prob_until("0", TRUE_FORMULA, Atom("goal"))
         assert interval.lo == Fraction(0) and interval.hi == Fraction(1)
-        exact = prob_until(gen, "0", TRUE_FORMULA, Atom("goal"), Budget(50, 50))
+        exact = Evaluator(gen, Budget(50, 50)).prob_until("0", TRUE_FORMULA, Atom("goal"))
         assert exact == ProbInterval(Fraction(1), Fraction(1))
 
 
 class TestBudgetMonotonicity:
     def _intervals(self, gen, state, f1, f2, budgets):
-        return [prob_until(gen, state, f1, f2, b) for b in budgets]
+        return [Evaluator(gen, b).prob_until(state, f1, f2) for b in budgets]
 
     def test_intervals_nest_on_growing_budget(self, unsolvable):
         from ppda import reduction
@@ -276,7 +275,7 @@ class TestBudgetMonotonicity:
         report = reduction.certify(p1, (1, 2), artifact=p1_artifact)
         top = reduction.instantiate_top_formula(p1_artifact, report.t)
         verdicts = [
-            eval_state(p1_artifact.chain, "Z", top, b)
+            Evaluator(p1_artifact.chain, b).eval_state("Z", top)
             for b in (Budget(5, 2), Budget(60, 6), Budget(400, 10), Budget(4000, 16))
         ]
         seen_definite = None
@@ -318,7 +317,8 @@ class TestCyclicSolve:
         gen = gen_from(table, {str(n): frozenset({"win"})}, initial="1")
         for i in range(n + 1):
             expected = Fraction(2**i - 1, 2**n - 1)
-            interval = prob_until(gen, str(i), TRUE_FORMULA, Atom("win"), Budget(100, 100))
+            interval = Evaluator(gen, Budget(100, 100)).prob_until(
+                str(i), TRUE_FORMULA, Atom("win"))
             assert interval == ProbInterval(expected, expected)
 
     def test_random_chain_satisfies_its_equations(self):
@@ -334,7 +334,7 @@ class TestCyclicSolve:
         gen = gen_from(table, {"win": frozenset({"win"})}, initial="s00")
         value = {"win": Fraction(1), "lose": Fraction(0)}
         for s in states:
-            interval = prob_until(gen, s, TRUE_FORMULA, Atom("win"), Budget(100, 100))
+            interval = Evaluator(gen, Budget(100, 100)).prob_until(s, TRUE_FORMULA, Atom("win"))
             assert interval.is_point
             value[s] = interval.lo
         for s in states:
@@ -343,7 +343,7 @@ class TestCyclicSolve:
     def test_cyclic_model_intervals_nest(self):
         gen = _cyclic_chain()
         left, right = Not(Atom("Z")), Atom("Z")
-        intervals = [prob_until(gen, "X", left, right, Budget(n, 1000))
+        intervals = [Evaluator(gen, Budget(n, 1000)).prob_until("X", left, right)
                      for n in (100, 200, 400, 800)]
         for wider, tighter in zip(intervals, intervals[1:]):
             assert wider.lo <= tighter.lo <= tighter.hi <= wider.hi
@@ -357,6 +357,7 @@ class TestCyclicSolve:
         query.write_text(CYCLIC_QUERY)
         code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(query),
                      "--max-states", "200", "--max-depth", "1000"])
-        expected = prob_until(_cyclic_chain(), "X", Not(Atom("Z")), Atom("Z"), Budget(200, 1000))
+        expected = Evaluator(_cyclic_chain(), Budget(200, 1000)).prob_until(
+            "X", Not(Atom("Z")), Atom("Z"))
         assert code == 1
         assert capsys.readouterr().out == f"verdict=Unknown\ninterval={expected}\n"

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,17 +8,9 @@ from ppda.pushdown import (
     Bpa,
     BpaRule,
     Configuration,
-    Dfa,
     ModelSyntaxError,
-    PpdsRule,
-    Ppds,
-    RegularAssignment,
     SimpleAssignment,
-    UndeclaredPropositionError,
     UnknownSymbolError,
-    embed_bpa,
-    eval_assignment,
-    head_check_dfa,
     induced_chain,
     parse_model,
     serialize_model,
@@ -32,7 +23,7 @@ ONE = Fraction(1)
 
 
 class TestConfiguration:
-    @pytest.mark.parametrize("text", ["X Y", "C P(_,B) P(B,B) Z'", "~", "q0: X Y", "q0: ~"])
+    @pytest.mark.parametrize("text", ["X Y", "C P(_,B) P(B,B) Z'", "~"])
     def test_encode_parse_round_trip(self, text):
         assert Configuration.parse(text).encode() == text
 
@@ -64,11 +55,6 @@ class TestValidateModel:
         model = Bpa.make([BpaRule("X", ("X", "X", "X"), ONE)])
         assert any("longer than 2" in p.reason for p in validate_model(model))
 
-    def test_ppds_totality_per_state(self):
-        model = Ppds.make([PpdsRule("q", "X", "r", (), ONE)])
-        problems = validate_model(model)
-        assert any(p.subject == "r: X" for p in problems)
-
 
 class TestStep:
     def test_pop_rule(self):
@@ -95,18 +81,6 @@ class TestStep:
     def test_unknown_symbol(self, p1_artifact):
         with pytest.raises(UnknownSymbolError):
             step(p1_artifact.bpa, Configuration(("BOGUS",)))
-
-    def test_ppds_step_tracks_control(self):
-        model = Ppds.make(
-            [
-                PpdsRule("q", "X", "r", ("Y", "X"), ONE),
-                PpdsRule("r", "X", "q", (), ONE),
-                PpdsRule("q", "Y", "q", ("Y",), ONE),
-                PpdsRule("r", "Y", "r", (), ONE),
-            ]
-        )
-        successors = step(model, Configuration(("X",), control="q"))
-        assert successors == [(Configuration(("Y", "X"), control="r"), ONE)]
 
 
 class TestModelText:
@@ -136,65 +110,17 @@ class TestModelText:
         with pytest.raises(ModelSyntaxError):
             parse_model("X -> ~ [p]\n")
 
-    def test_ppds_round_trip(self):
-        text = "q: X -> r: Y X [1/3]\nq: X -> q: ~ [2/3]\nr: Y -> q: ~ [1]\n"
-        model = parse_model(text)
-        assert isinstance(model, Ppds)
-        assert parse_model(serialize_model(model)) == model
-
-    def test_mixed_styles_rejected(self):
+    def test_control_state_rejected(self):
         with pytest.raises(ModelSyntaxError):
-            parse_model("X -> ~ [1]\nq: X -> q: ~ [1]\n")
+            parse_model("q: X -> q: ~ [1]\n")
 
 
 class TestAssignments:
-    def test_simple_head_membership(self):
+    def test_simple_head_membership(self, p1_artifact):
         nu = SimpleAssignment({"C": frozenset({"C"})})
-        assert eval_assignment(nu, "C", Configuration.parse("C P(A,A) Z'"))
-        assert not eval_assignment(nu, "C", Configuration.parse("N P(A,A) Z'"))
-
-    def test_undeclared_proposition(self):
-        nu = SimpleAssignment({"C": frozenset({"C"})})
-        with pytest.raises(UndeclaredPropositionError):
-            eval_assignment(nu, "D", Configuration.parse("C"))
-
-    def test_dfa_reads_stack_bottom_up(self):
-        # accepts exactly the stacks whose bottom symbol is Z'
-        dfa = Dfa(
-            initial="start",
-            accepting=frozenset({"anchored"}),
-            transitions={
-                ("start", "Z'"): "anchored",
-                ("anchored", "P(A,A)"): "anchored",
-                ("anchored", "F"): "anchored",
-            },
-        )
-        nu = RegularAssignment({"anchored": dfa})
-        assert eval_assignment(nu, "anchored", Configuration.parse("F P(A,A) Z'"))
-        assert not eval_assignment(nu, "anchored", Configuration.parse("F P(A,A)"))
-
-    def test_ppds_control_read_first(self):
-        dfa = Dfa(
-            initial="s0",
-            accepting=frozenset({"s2"}),
-            transitions={("s0", "q"): "s1", ("s1", "X"): "s2"},
-        )
-        nu = RegularAssignment({"p": dfa})
-        assert eval_assignment(nu, "p", Configuration(("X",), control="q"))
-        assert not eval_assignment(nu, "p", Configuration(("X",), control="r"))
-
-    def test_simple_agrees_with_head_check_dfa(self, p1_artifact):
-        rng = random.Random(9)
-        symbols = p1_artifact.gamma
-        heads = frozenset(rng.sample(symbols, 5))
-        simple = SimpleAssignment({"marked": heads})
-        regular = RegularAssignment({"marked": head_check_dfa(heads, symbols)})
-        for _ in range(1000):
-            stack = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
-            config = Configuration(stack)
-            assert eval_assignment(simple, "marked", config) == eval_assignment(
-                regular, "marked", config
-            )
+        gen = induced_chain(p1_artifact.bpa, nu, Configuration(("Z",)))
+        assert gen.labels("C P(A,A) Z'") == frozenset({"C"})
+        assert gen.labels("N P(A,A) Z'") == frozenset()
 
 
 class TestInducedChain:
@@ -217,13 +143,6 @@ class TestInducedChain:
         with pytest.raises(ValueError):
             induced_chain(bad, SimpleAssignment.identity(bad.alphabet), Configuration(("X",)))
 
-    def test_regular_assignment_chain_labels(self, p1_artifact):
-        heads = frozenset({"C"})
-        nu = RegularAssignment({"C": head_check_dfa(heads, p1_artifact.gamma)})
-        gen = induced_chain(p1_artifact.bpa, nu, Configuration(("Z",)))
-        assert gen.labels("C P(A,A) Z'") == frozenset({"C"})
-        assert gen.labels("Z") == frozenset()
-
 
 class TestStackDiscipline:
     def test_stack_grows_by_at_most_one(self, p1_artifact):
@@ -242,16 +161,3 @@ class TestStackDiscipline:
         for state in region.settled | region.frontier:
             assert validate_distribution(gen, state) == []
 
-
-class TestEmbedding:
-    def test_embedded_process_steps_identically(self, p1_artifact):
-        ppds = embed_bpa(p1_artifact.bpa, control="q")
-        assert validate_model(ppds) == []
-        rng = random.Random(3)
-        symbols = p1_artifact.gamma
-        for _ in range(50):
-            stack = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 4)))
-            flat = step(p1_artifact.bpa, Configuration(stack))
-            lifted = step(ppds, Configuration(stack, control="q"))
-            assert [(c.stack, p) for c, p in flat] == [(c.stack, p) for c, p in lifted]
-            assert all(c.control == "q" for c, _ in lifted)

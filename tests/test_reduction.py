@@ -286,16 +286,16 @@ class TestCertify:
             ("S", p1_artifact.phi2, report.p_phi2_at_N),
         ):
             state = reduction.Configuration((head,) + config.stack[1:]).encode()
-            iv = pctl.prob_until(p1_artifact.chain, state, phi.left, phi.right, budget)
+            iv = pctl.Evaluator(p1_artifact.chain, budget).prob_until(state, phi.left, phi.right)
             assert iv.is_point and iv.lo == 2 * at_n
 
     def test_equality_formula_true_at_check_state(self, p1, p1_artifact):
         state = reduction.check_config(p1_artifact, (1, 2)).encode()
         budget = reduction.verification_budget(10)
         formula = Prob(Comparison.EQ, F(3, 32), p1_artifact.phi1)
-        assert pctl.eval_state(p1_artifact.chain, state, formula, budget) is pctl.TRUE
+        assert pctl.Evaluator(p1_artifact.chain, budget).eval_state(state, formula) is pctl.TRUE
         off = Prob(Comparison.EQ, F(1, 8), p1_artifact.phi1)
-        assert pctl.eval_state(p1_artifact.chain, state, off, budget) is pctl.FALSE
+        assert pctl.Evaluator(p1_artifact.chain, budget).eval_state(state, off) is pctl.FALSE
 
     def test_checkpoint_next_step_is_certain(self, p1, p1_artifact):
         # the checkpoint rewrites deterministically, so the instantiated
@@ -306,7 +306,7 @@ class TestCertify:
         )
         state = guess_config(p1, (1, 2)).encode()
         budget = reduction.verification_budget(10)
-        interval = pctl.prob_next(p1_artifact.chain, state, inner, budget)
+        interval = pctl.Evaluator(p1_artifact.chain, budget).prob_next(state, inner)
         assert interval == pctl.ProbInterval(F(1), F(1))
 
     def test_unsolvable_top_formula_unknown_at_any_budget(self, unsolvable):
@@ -314,7 +314,7 @@ class TestCertify:
         for t in (F(1, 2), F(3, 4)):
             top = instantiate_top_formula(artifact, t)
             for budget in (Budget(50, 5), Budget(500, 12), Budget(3000, 20)):
-                assert pctl.eval_state(artifact.chain, "Z", top, budget) is pctl.UNKNOWN
+                assert pctl.Evaluator(artifact.chain, budget).eval_state("Z", top) is pctl.UNKNOWN
 
     def test_branch_values_match_encoding(self, p1, p1_artifact):
         # popping the guessed stack realizes the dyadic weights of the
@@ -323,8 +323,9 @@ class TestCertify:
         budget = reduction.verification_budget(len(config.stack))
         f_state = reduction.Configuration(("F",) + config.stack[1:]).encode()
         s_state = reduction.Configuration(("S",) + config.stack[1:]).encode()
-        iv1 = pctl.prob_until(p1_artifact.chain, f_state, p1_artifact.phi1.left, p1_artifact.phi1.right, budget)
-        iv2 = pctl.prob_until(p1_artifact.chain, s_state, p1_artifact.phi2.left, p1_artifact.phi2.right, budget)
+        session = pctl.Evaluator(p1_artifact.chain, budget)
+        iv1 = session.prob_until(f_state, p1_artifact.phi1.left, p1_artifact.phi1.right)
+        iv2 = session.prob_until(s_state, p1_artifact.phi2.left, p1_artifact.phi2.right)
         assert iv1 == pctl.ProbInterval(F(3, 16), F(3, 16))
         assert iv2 == pctl.ProbInterval(F(13, 16), F(13, 16))
         assert iv1.lo == rho("ABB"[::-1] + "Z'")
