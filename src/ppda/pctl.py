@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import re
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -525,7 +526,13 @@ class Evaluator:
                 raise PlaceholderError(
                     f"cannot evaluate formula with placeholder bound {formula.bound.value}"
                 )
-            interval = self.prob_path(state, formula.path)
+            path = formula.path
+            if formula.bound == 0 and isinstance(path, Until):
+                verdict = self._reaches(state, path.left, path.right)
+                if formula.comparison is Comparison.GT:
+                    return verdict
+                return kleene_not(verdict)
+            interval = self.prob_path(state, path)
             return compare(interval, formula.comparison, formula.bound)
         raise TypeError(f"not a state formula: {formula!r}")
 
@@ -556,46 +563,20 @@ class Evaluator:
         cached = self.until_cache.get(key)
         if cached is not None:
             return cached
-        region = self.region_cache.get(state)
-        if region is None:
-            region = explore(self.gen, state, self.budget)
-            self.region_cache[state] = region
+        region = self._region(state)
         discovered = sorted(region.settled | region.frontier)
 
-        # Sinks carry fixed (lo, hi) contributions; settled continue-states
-        # with a genuine choice become variables of a linear system. A state
-        # already resolved to a point in this session is an exact sink.
+        # Sinks carry fixed (lo, hi) contributions; the other states become
+        # variables of a linear system.
         sink_lo: dict[ChainState, Fraction] = {}
         sink_hi: dict[ChainState, Fraction] = {}
         variables: list[ChainState] = []
         for d in discovered:
-            known = self.until_cache.get((d, f1, f2))
-            if known is not None and known.is_point:
-                sink_lo[d] = known.lo
-                sink_hi[d] = known.hi
-                continue
-            right = self.eval_state(d, f2)
-            if right is TRUE:
-                sink_lo[d] = ONE
-                sink_hi[d] = ONE
-                continue
-            left = self.eval_state(d, f1)
-            if right is FALSE and left is FALSE:
-                sink_lo[d] = ZERO
-                sink_hi[d] = ZERO
-            elif right is not FALSE or left is not TRUE:
-                sink_lo[d] = ZERO
-                sink_hi[d] = ONE
-            elif d not in region.settled:
-                sink_lo[d] = ZERO
-                sink_hi[d] = ONE
-            elif self.gen.successors(d) == [(d, ONE)]:
-                # Absorbing state where f2 is definitively false: the run
-                # stays here forever, so the until is never satisfied.
-                sink_lo[d] = ZERO
-                sink_hi[d] = ZERO
-            else:
+            sink = self._until_sink(d, f1, f2, region.settled)
+            if sink is None:
                 variables.append(d)
+            else:
+                sink_lo[d], sink_hi[d] = sink
 
         lo_values = _least_fixed_point(variables, self.gen.successors, sink_lo)
         if sink_hi == sink_lo:
@@ -622,6 +603,69 @@ class Evaluator:
             interval = ProbInterval(lo_values[state], hi_values[state])
         cache[key] = interval
         return interval
+
+    def _region(self, state: ChainState) -> ExploreResult:
+        region = self.region_cache.get(state)
+        if region is None:
+            region = explore(self.gen, state, self.budget)
+            self.region_cache[state] = region
+        return region
+
+    def _until_sink(
+        self, d: ChainState, f1: StateFormula, f2: StateFormula, settled: frozenset[ChainState]
+    ) -> tuple[Fraction, Fraction] | None:
+        """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
+
+        A variable is settled, satisfies f1 and not f2, and is not absorbing.
+        A state already resolved to a point in this session is an exact sink.
+        f1 is evaluated only where f2 is not True.
+        """
+        known = self.until_cache.get((d, f1, f2))
+        if known is not None and known.is_point:
+            return known.lo, known.hi
+        right = self.eval_state(d, f2)
+        if right is TRUE:
+            return ONE, ONE
+        left = self.eval_state(d, f1)
+        if right is FALSE and left is FALSE:
+            return ZERO, ZERO
+        if right is not FALSE or left is not TRUE or d not in settled:
+            return ZERO, ONE
+        if self.gen.successors(d) == [(d, ONE)]:
+            # Absorbing state where f2 is definitively false: the run
+            # stays here forever, so the until is never satisfied.
+            return ZERO, ZERO
+        return None
+
+    def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
+        """Decide ``P>0 (f1 U f2)`` at ``state`` by reachability, without solving.
+
+        In the least fixed point that ``prob_until`` solves, a state's lower
+        bound is positive exactly when a sink with a positive lower bound is
+        reachable through variables, and likewise for the upper bound
+        (Baier and Katoen, Principles of Model Checking, 2008, 10.3). So a
+        breadth-first search over the same region and sinks gives the
+        verdict ``compare`` gives on the solved interval. Sinks are
+        classified only when dequeued, and the search stops at the first one
+        with a positive lower bound.
+        """
+        region = self._region(state)
+        seen = {state}
+        queue = deque([state])
+        maybe = False
+        while queue:
+            d = queue.popleft()
+            sink = self._until_sink(d, f1, f2, region.settled)
+            if sink is None:
+                for target, _ in self.gen.successors(d):
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
+            elif sink[0] > 0:
+                return TRUE
+            elif sink[1] > 0:
+                maybe = True
+        return UNKNOWN if maybe else FALSE
 
 
 def _least_fixed_point(

@@ -31,8 +31,11 @@ class ModelSyntaxError(ValueError):
         self.line = line
 
 
-class UnknownSymbolError(KeyError):
-    """A configuration head is not part of the model's stack alphabet."""
+class UnknownSymbolError(ValueError):
+    """A configuration holds a symbol that is not in the model's stack alphabet."""
+
+    def __init__(self, symbol: str) -> None:
+        super().__init__(f"unknown stack symbol {symbol!r}: the model has no rule for it")
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,18 @@ class SimpleAssignment:
 
 
 def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> ChainGenerator:
-    """The Markov chain over configurations, labeled by the assignment."""
+    """The Markov chain over configurations, labeled by the assignment.
+
+    Raises ``UnknownSymbolError`` if ``start`` holds a symbol outside the
+    model's alphabet.
+    """
     problems = validate_model(model)
     if problems:
         raise ValueError("invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems))
+    known = set(model.alphabet)
+    for symbol in start.stack:
+        if symbol not in known:
+            raise UnknownSymbolError(symbol)
 
     def successors(state: str):
         config = Configuration.parse(state)

@@ -234,6 +234,18 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("config, symbol", [("Q", "Q"), ("X Y", "Y")])
+    def test_unknown_stack_symbol_refused(self, tmp_path, capsys, config, symbol):
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n")
+        formula = tmp_path / "head.pctl"
+        formula.write_text("(ap X)")
+        code = main(["eval", "--model", str(model), "--config", config, "--formula", str(formula)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unknown stack symbol '{symbol}': the model has no rule for it\n"
+
 
 class TestLemmas:
     def test_default_seed_passes(self, capsys):

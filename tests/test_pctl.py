@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ppda.chain import Budget, ChainGenerator
 from ppda.cli import main
@@ -30,7 +30,7 @@ from ppda.pctl import (
     parse_path_formula,
     serialize_formula,
 )
-from ppda.pushdown import Configuration, SimpleAssignment, induced_chain, parse_model
+from ppda.pushdown import Bpa, BpaRule, Configuration, SimpleAssignment, induced_chain, parse_model
 
 H = Fraction(1, 2)
 BUDGET = Budget(200, 50)
@@ -285,6 +285,63 @@ class TestBudgetMonotonicity:
                     seen_definite = verdict
                 assert verdict is seen_definite
         assert seen_definite is TRUE
+
+
+_SYMBOLS = ("W", "X", "Y")
+
+
+@st.composite
+def _small_bpas(draw) -> Bpa:
+    """Random pBPAs over three symbols; Y always has the quadratic rule Y -> Y Y."""
+    bodies = st.lists(st.sampled_from(_SYMBOLS), max_size=2).map(tuple)
+    rules = []
+    for head in _SYMBOLS:
+        chosen = draw(st.lists(bodies, min_size=1, max_size=3, unique=True))
+        if head == "Y" and ("Y", "Y") not in chosen:
+            chosen.append(("Y", "Y"))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+        rules += [BpaRule(head, body, Fraction(w, sum(weights))) for body, w in zip(chosen, weights)]
+    return Bpa.make(rules)
+
+
+def _propositional():
+    leaves = st.one_of(st.just(TRUE_FORMULA), st.builds(Atom, st.sampled_from(_SYMBOLS)))
+    return st.recursive(leaves, lambda kids: st.one_of(st.builds(Not, kids), st.builds(And, kids, kids)),
+                        max_leaves=4)
+
+
+class TestQualitativeUntil:
+    """Bound-0 untils are decided by reachability; the verdicts must match the solve."""
+
+    @settings(max_examples=300)
+    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+           _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
+    def test_matches_solved_interval(self, model, stack, f1, f2, max_states, max_depth):
+        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        budget = Budget(max_states, max_depth)
+        interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
+        for comparison in Comparison:
+            formula = Prob(comparison, Fraction(0), Until(f1, f2))
+            verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
+            assert verdict is compare(interval, comparison, Fraction(0))
+
+    def test_top_formula_stops_at_the_witness(self, p1, p1_artifact):
+        from ppda import reduction
+
+        t = reduction.certify(p1, (1, 2), artifact=p1_artifact).t
+        top = reduction.instantiate_top_formula(p1_artifact, t)
+        evaluator = Evaluator(p1_artifact.chain, Budget(100_000, 30))
+        assert evaluator.eval_state("Z", top) is TRUE
+        region = evaluator.region_cache["Z"]
+        checkpoints = [s for s in region.settled | region.frontier
+                       if "C" in p1_artifact.chain.labels(s)]
+        # Measured: the region at Z holds 1,022 C-configurations. Solving the
+        # outer until evaluates the inner formula at every one of them and
+        # explores one checking region per C-configuration (1,023 entries with
+        # Z); the search stops at the witness 1,2 and leaves 5 entries: Z and
+        # the checking regions of the guesses 1, 2, 1,1 and 1,2.
+        assert len(checkpoints) == 1022
+        assert len(evaluator.region_cache) <= 5
 
 
 # A cyclic model: X and Y call each other, so the until

@@ -143,6 +143,11 @@ class TestInducedChain:
         with pytest.raises(ValueError):
             induced_chain(bad, SimpleAssignment.identity(bad.alphabet), Configuration(("X",)))
 
+    def test_unknown_start_symbol_rejected(self):
+        model = parse_model("X -> ~ [1]\n")
+        with pytest.raises(UnknownSymbolError, match="unknown stack symbol 'Y'"):
+            induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X", "Y")))
+
 
 class TestStackDiscipline:
     def test_stack_grows_by_at_most_one(self, p1_artifact):
