@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Union
 
-from .chain import Budget, ChainGenerator, ChainState, ExploreResult, explore
+from .chain import Budget, ChainGenerator, ChainState, Exploration
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -195,19 +195,29 @@ def disjunction(parts: list["StateFormula"]) -> "StateFormula":
 
 
 def replace_bounds(formula, replace: Callable[[Bound], Bound]):
-    """Structurally rebuild a formula, mapping every probability bound."""
+    """Structurally rebuild a formula, mapping every probability bound.
+
+    A subtree in which ``replace`` returns every bound unchanged is returned
+    as it is, so the result shares those nodes with the input and cache
+    lookups keyed by them match by identity.
+    """
     if isinstance(formula, (TrueFormula, Atom)):
         return formula
-    if isinstance(formula, Not):
-        return Not(replace_bounds(formula.operand, replace))
-    if isinstance(formula, And):
-        return And(replace_bounds(formula.left, replace), replace_bounds(formula.right, replace))
+    if isinstance(formula, (Not, Next)):
+        operand = replace_bounds(formula.operand, replace)
+        return formula if operand is formula.operand else type(formula)(operand)
+    if isinstance(formula, (And, Until)):
+        left = replace_bounds(formula.left, replace)
+        right = replace_bounds(formula.right, replace)
+        if left is formula.left and right is formula.right:
+            return formula
+        return type(formula)(left, right)
     if isinstance(formula, Prob):
-        return Prob(formula.comparison, replace(formula.bound), replace_bounds(formula.path, replace))
-    if isinstance(formula, Next):
-        return Next(replace_bounds(formula.operand, replace))
-    if isinstance(formula, Until):
-        return Until(replace_bounds(formula.left, replace), replace_bounds(formula.right, replace))
+        bound = replace(formula.bound)
+        path = replace_bounds(formula.path, replace)
+        if bound is formula.bound and path is formula.path:
+            return formula
+        return Prob(formula.comparison, bound, path)
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -482,12 +492,25 @@ def _eval_propositional(formula, labels: frozenset) -> ThreeValued:
 
 _PROPOSITIONAL_VERDICTS: dict = {}
 
+# The (lo, hi) contributions of until-sinks that labels decide.
+_TRUE_SINK = (ONE, ONE)
+_FALSE_SINK = (ZERO, ZERO)
+_OPEN_SINK = (ZERO, ONE)
+
 
 class Evaluator:
     """One evaluation session: a generator, a budget, and shared caches.
 
-    Verdicts and intervals are pure functions of (generator, budget), so a
+    Every verdict is sound and every interval contains the true value, and
+    for one query history the intervals nest as the budget grows. They are
+    not pure functions of (generator, budget): an exact point memoized by
+    an earlier query is a sink of later ones, so it can tighten them. A
     session may be reused across formulas and query states.
+
+    Until-queries are demand-driven: each query state's breadth-first
+    region is advanced only as far as the states the query walks to, and
+    only the states reachable from it through until-variables are
+    classified and solved.
     """
 
     def __init__(self, gen: ChainGenerator, budget: Budget) -> None:
@@ -496,7 +519,7 @@ class Evaluator:
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.next_cache: dict[tuple, ProbInterval] = {}
         self.until_cache: dict[tuple, ProbInterval] = {}
-        self.region_cache: dict[ChainState, ExploreResult] = {}
+        self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
         if _is_propositional(formula):
@@ -563,32 +586,34 @@ class Evaluator:
         cached = self.until_cache.get(key)
         if cached is not None:
             return cached
-        region = self._region(state)
-        discovered = sorted(region.settled | region.frontier)
 
-        # Sinks carry fixed (lo, hi) contributions; the other states become
-        # variables of a linear system.
+        # Sinks carry fixed (lo, hi) contributions; the variables the walk
+        # reaches become the unknowns of a linear system.
         sink_lo: dict[ChainState, Fraction] = {}
         sink_hi: dict[ChainState, Fraction] = {}
         variables: list[ChainState] = []
-        for d in discovered:
-            sink = self._until_sink(d, f1, f2, region.settled)
+        visited: list[ChainState] = []
+        sinks_are_points = True
+        for d, sink in self._walk(state, f1, f2):
+            visited.append(d)
             if sink is None:
                 variables.append(d)
             else:
                 sink_lo[d], sink_hi[d] = sink
+                if sink is _OPEN_SINK:
+                    sinks_are_points = False
 
         lo_values = _least_fixed_point(variables, self.gen.successors, sink_lo)
-        if sink_hi == sink_lo:
-            # Every sink is a point, so both bounds solve the same system.
+        if sinks_are_points:
+            # Both bounds solve the same system.
             hi_values = lo_values
         else:
             hi_values = _least_fixed_point(variables, self.gen.successors, sink_hi)
 
-        # Memoize every state the solve settled exactly; popping chains
-        # share suffixes heavily, so later queries reuse them as sinks.
+        # Memoize every visited state that resolved to a point; popping
+        # chains share suffixes heavily, so later queries reuse them as sinks.
         cache = self.until_cache
-        for d in discovered:
+        for d in visited:
             if d in sink_lo:
                 lo_d, hi_d = sink_lo[d], sink_hi[d]
             else:
@@ -604,38 +629,62 @@ class Evaluator:
         cache[key] = interval
         return interval
 
-    def _region(self, state: ChainState) -> ExploreResult:
+    def _region(self, state: ChainState) -> Exploration:
         region = self.region_cache.get(state)
         if region is None:
-            region = explore(self.gen, state, self.budget)
+            region = Exploration(self.gen, state, self.budget)
             self.region_cache[state] = region
         return region
 
     def _until_sink(
-        self, d: ChainState, f1: StateFormula, f2: StateFormula, settled: frozenset[ChainState]
+        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration
     ) -> tuple[Fraction, Fraction] | None:
         """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
 
-        A variable is settled, satisfies f1 and not f2, and is not absorbing.
-        A state already resolved to a point in this session is an exact sink.
-        f1 is evaluated only where f2 is not True.
+        A variable is settled in ``region``, satisfies f1 and not f2, and is
+        not absorbing. A state already resolved to a point in this session
+        is an exact sink. The one sink that is not a point is
+        ``_OPEN_SINK``. f1 is evaluated only where f2 is not True, and the
+        region is advanced only for a state that could be a variable.
         """
         known = self.until_cache.get((d, f1, f2))
         if known is not None and known.is_point:
             return known.lo, known.hi
         right = self.eval_state(d, f2)
         if right is TRUE:
-            return ONE, ONE
+            return _TRUE_SINK
         left = self.eval_state(d, f1)
         if right is FALSE and left is FALSE:
-            return ZERO, ZERO
-        if right is not FALSE or left is not TRUE or d not in settled:
-            return ZERO, ONE
+            return _FALSE_SINK
+        if right is not FALSE or left is not TRUE or not region.is_settled(d):
+            return _OPEN_SINK
         if self.gen.successors(d) == [(d, ONE)]:
             # Absorbing state where f2 is definitively false: the run
             # stays here forever, so the until is never satisfied.
-            return ZERO, ZERO
+            return _FALSE_SINK
         return None
+
+    def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula):
+        """Yield ``(d, sink)`` for each state reachable from ``state`` through variables.
+
+        Breadth-first from ``state`` over the until's region at ``state``;
+        ``sink`` is ``_until_sink`` of ``d``, classified when ``d`` is
+        reached, and only a variable's successors are walked. The least
+        fixed point at ``state`` depends only on the states yielded.
+        """
+        region = self._region(state)
+        successors = self.gen.successors
+        seen = {state}
+        queue = deque([state])
+        while queue:
+            d = queue.popleft()
+            sink = self._until_sink(d, f1, f2, region)
+            yield d, sink
+            if sink is None:
+                for target, _ in successors(d):
+                    if target not in seen:
+                        seen.add(target)
+                        queue.append(target)
 
     def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
         """Decide ``P>0 (f1 U f2)`` at ``state`` by reachability, without solving.
@@ -643,27 +692,17 @@ class Evaluator:
         In the least fixed point that ``prob_until`` solves, a state's lower
         bound is positive exactly when a sink with a positive lower bound is
         reachable through variables, and likewise for the upper bound
-        (Baier and Katoen, Principles of Model Checking, 2008, 10.3). So a
-        breadth-first search over the same region and sinks gives the
-        verdict ``compare`` gives on the solved interval. Sinks are
-        classified only when dequeued, and the search stops at the first one
-        with a positive lower bound.
+        (Baier and Katoen, Principles of Model Checking, 2008, 10.3). So the
+        same walk gives the verdict ``compare`` gives on the solved
+        interval, and it stops at the first sink with a positive lower bound.
         """
-        region = self._region(state)
-        seen = {state}
-        queue = deque([state])
         maybe = False
-        while queue:
-            d = queue.popleft()
-            sink = self._until_sink(d, f1, f2, region.settled)
+        for _, sink in self._walk(state, f1, f2):
             if sink is None:
-                for target, _ in self.gen.successors(d):
-                    if target not in seen:
-                        seen.add(target)
-                        queue.append(target)
-            elif sink[0] > 0:
+                continue
+            if sink[0] > 0:
                 return TRUE
-            elif sink[1] > 0:
+            if sink[1] > 0:
                 maybe = True
         return UNKNOWN if maybe else FALSE
 

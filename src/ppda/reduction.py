@@ -73,6 +73,14 @@ class TRangeError(ValueError):
     """The certification constant t must lie strictly between 0 and 1."""
 
 
+class CertificationBudgetError(RuntimeError):
+    """The evaluation budget left a certification probability an open interval.
+
+    An internal fault, not an input error: ``verification_budget`` and
+    ``sweep_session`` size budgets so that popping chains always settle.
+    """
+
+
 def pair_symbol(x: str, y: str) -> str:
     return f"P({x},{y})"
 
@@ -553,7 +561,8 @@ def certify(
     A caller sweeping many words of one instance may pass a shared
     ``session`` (its budget must cover the longest guess); popping chains
     of different words share suffixes, so the session cache cuts most of
-    the work.
+    the work. A session whose budget is too small for the guess raises
+    ``CertificationBudgetError``.
     """
     if artifact is None:
         artifact = compile_instance(instance, variant)
@@ -567,7 +576,10 @@ def certify(
     iv1 = session.prob_until(state, artifact.phi1.left, artifact.phi1.right)
     iv2 = session.prob_until(state, artifact.phi2.left, artifact.phi2.right)
     if not (iv1.is_point and iv2.is_point):
-        raise AssertionError("verification chain did not settle within budget")
+        raise CertificationBudgetError(
+            f"verification chain did not settle within {session.budget}: "
+            f"phi1 in {iv1}, phi2 in {iv2}"
+        )
     p1, p2 = iv1.lo, iv2.lo
     t = 2 * p1
     holds = p1 == t / 2 and p2 == (1 - t) / 2

@@ -2,6 +2,8 @@ from pathlib import Path
 
 import pytest
 
+from ppda import reduction
+from ppda.chain import Budget
 from ppda.cli import main
 from ppda.pushdown import parse_model, validate_model
 
@@ -85,6 +87,13 @@ class TestCertify:
         first = capsys.readouterr().out
         main(["certify", "--instance", p1_file, "--word", "1,2"])
         assert capsys.readouterr().out == first
+
+    def test_unsettled_certification_is_not_a_usage_error(self, p1_file, monkeypatch):
+        # A budget too small to settle the popping chain is an internal
+        # fault: it must escape main, not become exit 2.
+        monkeypatch.setattr(reduction, "verification_budget", lambda pair_count: Budget(2, 2))
+        with pytest.raises(reduction.CertificationBudgetError):
+            main(["certify", "--instance", p1_file, "--word", "1,2"])
 
 
 class TestSearch:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ppda.chain import Budget, ChainGenerator
+from ppda.chain import Budget, ChainGenerator, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
     MAX_NESTING,
@@ -25,6 +25,7 @@ from ppda.pctl import (
     TRUE_FORMULA,
     UNKNOWN,
     Until,
+    _least_fixed_point,
     compare,
     parse_formula,
     parse_path_formula,
@@ -330,18 +331,77 @@ class TestQualitativeUntil:
 
         t = reduction.certify(p1, (1, 2), artifact=p1_artifact).t
         top = reduction.instantiate_top_formula(p1_artifact, t)
-        evaluator = Evaluator(p1_artifact.chain, Budget(100_000, 30))
+        budget = Budget(100_000, 30)
+        evaluator = Evaluator(p1_artifact.chain, budget)
         assert evaluator.eval_state("Z", top) is TRUE
-        region = evaluator.region_cache["Z"]
+        region = explore(p1_artifact.chain, "Z", budget)
         checkpoints = [s for s in region.settled | region.frontier
                        if "C" in p1_artifact.chain.labels(s)]
-        # Measured: the region at Z holds 1,022 C-configurations. Solving the
-        # outer until evaluates the inner formula at every one of them and
-        # explores one checking region per C-configuration (1,023 entries with
-        # Z); the search stops at the witness 1,2 and leaves 5 entries: Z and
-        # the checking regions of the guesses 1, 2, 1,1 and 1,2.
+        # Measured: the region at Z holds 1,022 C-configurations and 9,967
+        # settled states. Solving the outer until evaluates the inner formula
+        # at every C-configuration and explores one checking region for each
+        # (1,023 entries with Z); the search stops at the witness 1,2 and
+        # leaves 5 entries: Z and the checking regions of the guesses 1, 2,
+        # 1,1 and 1,2. The exploration at Z is advanced only as far as the
+        # search walks, which settles 31 states.
         assert len(checkpoints) == 1022
+        assert len(region.settled) == 9967
         assert len(evaluator.region_cache) <= 5
+        assert evaluator.region_cache["Z"].settled_count <= 31
+
+
+def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
+    """The until-interval at the start from the whole region: explore it, classify
+    every discovered state, and solve for both bounds."""
+    region = explore(gen, gen.initial, budget)
+    operands = Evaluator(gen, budget)  # f1 and f2 are propositional: verdicts from labels only
+    sink_lo, sink_hi, variables = {}, {}, []
+    for d in sorted(region.settled | region.frontier):
+        right, left = operands.eval_state(d, f2), operands.eval_state(d, f1)
+        if right is TRUE:
+            sink = (Fraction(1), Fraction(1))
+        elif right is FALSE and left is FALSE:
+            sink = (Fraction(0), Fraction(0))
+        elif right is not FALSE or left is not TRUE or d not in region.settled:
+            sink = (Fraction(0), Fraction(1))
+        elif gen.successors(d) == [(d, Fraction(1))]:
+            sink = (Fraction(0), Fraction(0))
+        else:
+            variables.append(d)
+            continue
+        sink_lo[d], sink_hi[d] = sink
+    if gen.initial in sink_lo:
+        return ProbInterval(sink_lo[gen.initial], sink_hi[gen.initial])
+    lo = _least_fixed_point(variables, gen.successors, sink_lo)[gen.initial]
+    hi = _least_fixed_point(variables, gen.successors, sink_hi)[gen.initial]
+    return ProbInterval(lo, hi)
+
+
+class TestDemandDrivenUntil:
+    """Until-queries walk and explore only what they reach; the values must not change."""
+
+    @settings(max_examples=300)
+    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+           _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
+    def test_matches_full_region_solve(self, model, stack, f1, f2, max_states, max_depth):
+        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        budget = Budget(max_states, max_depth)
+        interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
+        assert interval == _full_region_until(gen, budget, f1, f2)
+
+    @settings(max_examples=200)
+    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+           st.integers(1, 40), st.integers(1, 8), st.randoms(use_true_random=False))
+    def test_resumable_exploration_matches_explore(self, model, stack, max_states, max_depth, rng):
+        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        budget = Budget(max_states, max_depth)
+        full = explore(gen, gen.initial, budget)
+        discovered = sorted(full.settled | full.frontier)
+        rng.shuffle(discovered)
+        region = Exploration(gen, gen.initial, budget)
+        for state in discovered:
+            assert region.is_settled(state) is (state in full.settled)
+        assert region.run() == full
 
 
 # A cyclic model: X and Y call each other, so the until

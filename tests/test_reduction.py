@@ -9,6 +9,7 @@ from ppda import oracle, pctl, reduction
 from ppda.chain import Budget, explore, path_probability
 from ppda.pctl import Atom, Comparison, Next, Prob, serialize_formula
 from ppda.reduction import (
+    CertificationBudgetError,
     DegenerateInstanceError,
     DomainError,
     IndexRangeError,
@@ -276,6 +277,13 @@ class TestCertify:
         assert "t=3/16" in text
         assert "p_phi1_at_N=3/32" in text
         assert "formula_holds=true" in text
+
+    def test_too_small_session_is_an_internal_fault(self, p1, p1_artifact):
+        session = pctl.Evaluator(p1_artifact.chain, Budget(2, 2))
+        with pytest.raises(CertificationBudgetError, match="did not settle") as info:
+            certify(p1, (1, 2), artifact=p1_artifact, session=session)
+        # Not an input error: the CLI reports ValueErrors as usage errors.
+        assert not isinstance(info.value, ValueError)
 
     def test_halving(self, p1, p1_artifact):
         report = certify(p1, (1, 2), artifact=p1_artifact)
