@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .errors import PpdaInputError
 from .rationals import require_fraction
 
 ChainState = str
@@ -18,7 +19,7 @@ ChainState = str
 ONE = Fraction(1)
 
 
-class InvalidPathError(ValueError):
+class InvalidPathError(PpdaInputError):
     """A state sequence contains an adjacent pair that is not a transition."""
 
 
@@ -31,7 +32,7 @@ class Budget:
 
     def __post_init__(self) -> None:
         if self.max_states < 1 or self.max_depth < 1:
-            raise ValueError("budget limits must be positive")
+            raise PpdaInputError("budget limits must be positive")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class FinitePath:
 
     def __post_init__(self) -> None:
         if not self.states:
-            raise ValueError("a path has at least one state")
+            raise PpdaInputError("a path has at least one state")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Exit codes: 0 for a positive outcome, 1 for a negative finding (formula
 does not hold, no witness found, verdict not True, a property check
-fails), 2 for usage or input errors.
+fails), 2 for usage or input errors. Input errors are exactly the
+``PpdaInputError``s and ``OSError``s; any other exception is an internal
+fault and escapes with a traceback.
 """
 from __future__ import annotations
 
@@ -12,28 +14,41 @@ from pathlib import Path
 
 from . import oracle, pctl, properties, reduction
 from .chain import Budget
+from .errors import PpdaInputError, read_text
 from .pctl import has_placeholder, parse_formula, serialize_formula
-from .pushdown import Configuration, SimpleAssignment, UnknownSymbolError, induced_chain, parse_model, serialize_model
-from .rationals import RationalFormatError, parse_rational
+from .pushdown import Configuration, SimpleAssignment, induced_chain, parse_model, serialize_model
+from .rationals import parse_rational
 
 OK = 0
 NEGATIVE = 1
 USAGE = 2
 
-_INPUT_ERRORS = (
-    reduction.InstanceFormatError,
-    reduction.DegenerateInstanceError,
-    reduction.IndexRangeError,
-    reduction.MalformedWordError,
-    reduction.TRangeError,
-    pctl.FormulaSyntaxError,
-    pctl.BoundRangeError,
-    pctl.PlaceholderError,
-    RationalFormatError,
-    UnknownSymbolError,
-    OSError,
-    ValueError,
-)
+_INPUT_ERRORS = (PpdaInputError, OSError)
+
+# The most index words `search` and `solve` enumerate, counting every word
+# up to --max-k (n + n^2 + ... + n^K for n pairs). A certification session
+# holds about 7 KB per word on a 3-pair instance of pad length 3, so a
+# reduction search at the limit needs about 0.7 GB.
+MAX_SEARCH_WORDS = 100_000
+
+
+def check_search_cost(n: int, max_k: int) -> None:
+    """Refuse a search over more than ``MAX_SEARCH_WORDS`` index words.
+
+    Counts the words level by level and stops at the limit, so a huge
+    ``max_k`` is refused at once.
+    """
+    if max_k < 1:
+        raise PpdaInputError("--max-k must be at least 1")
+    words, level = 0, 1
+    for _ in range(max_k):
+        level *= n
+        words += level
+        if words > MAX_SEARCH_WORDS:
+            raise PpdaInputError(
+                f"--max-k {max_k} with {n} pairs means more than {MAX_SEARCH_WORDS} "
+                f"index words to search; lower --max-k"
+            )
 
 
 def _cmd_compile(args) -> int:
@@ -68,8 +83,7 @@ def _search_result_line(word, max_k: int) -> str:
 
 def _cmd_search(args) -> int:
     instance = reduction.load_instance(args.instance)
-    if args.max_k < 1:
-        raise ValueError("--max-k must be at least 1")
+    check_search_cost(instance.n, args.max_k)
     brute = reduced = None
     if args.engine in ("brute", "both"):
         brute = oracle.brute_force_pcp(instance, args.max_k)
@@ -95,15 +109,15 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = parse_model(Path(args.model).read_text(encoding="utf-8"))
-    formula = parse_formula(Path(args.formula).read_text(encoding="utf-8").strip())
+    model = parse_model(read_text(args.model))
+    formula = parse_formula(read_text(args.formula).strip())
     if has_placeholder(formula):
         if args.t is None:
-            raise ValueError("formula contains ?t placeholders: --t is required")
+            raise PpdaInputError("formula contains ?t placeholders: --t is required")
         t = parse_rational(args.t)
         formula = reduction.instantiate_formula(formula, t)
     elif args.t is not None:
-        raise ValueError("formula has no ?t placeholder, but --t was given")
+        raise PpdaInputError("formula has no ?t placeholder, but --t was given")
     config = Configuration.parse(args.config)
     assignment = SimpleAssignment.identity(model.alphabet)
     gen = induced_chain(model, assignment, config)
@@ -127,7 +141,7 @@ def _cmd_lemmas(args) -> int:
         if max_n < 1 or max_m < 1 or max_k < 1:
             raise ValueError
     except ValueError:
-        raise ValueError(f"--sizes must be 'n,m,k' with positive integers, got {args.sizes!r}")
+        raise PpdaInputError(f"--sizes must be 'n,m,k' with positive integers, got {args.sizes!r}") from None
     failures = 0
     for name, failure in properties.run_suite(args.seed, max_n, max_m, max_k):
         if failure is None:
@@ -136,6 +150,10 @@ def _cmd_lemmas(args) -> int:
             failures += 1
             print(f"FAIL {name}: {failure}")
     return NEGATIVE if failures else OK
+
+
+_MAX_K_HELP = (f"longest index word to try; refused (exit 2) when the words up to this "
+               f"length, n + n^2 + ... + n^K for n pairs, are more than {MAX_SEARCH_WORDS} words")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,13 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="search for a solution word")
     p_search.add_argument("--instance", required=True)
-    p_search.add_argument("--max-k", type=int, required=True)
+    p_search.add_argument("--max-k", type=int, required=True, help=_MAX_K_HELP)
     p_search.add_argument("--engine", choices=("reduction", "brute", "both"), default="reduction")
     p_search.set_defaults(func=_cmd_search)
 
     p_solve = sub.add_parser("solve", help="brute-force search (no pushdown model)")
     p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--max-k", type=int, required=True)
+    p_solve.add_argument("--max-k", type=int, required=True, help=_MAX_K_HELP)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula on a model configuration")

@@ -1,0 +1,25 @@
+"""The one base class of input errors, and reading input files as text.
+
+Every error that malformed or out-of-range input raises is a
+``PpdaInputError``, which is also a ``ValueError``. The command line
+reports exactly these (and ``OSError``) as usage errors with exit 2; any
+other exception is an internal fault and escapes.
+"""
+from __future__ import annotations
+
+
+class PpdaInputError(ValueError):
+    """Malformed or out-of-range input."""
+
+
+class InputEncodingError(PpdaInputError):
+    """An input file is not UTF-8 text."""
+
+
+def read_text(path) -> str:
+    """The contents of an input file, decoded as UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputEncodingError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

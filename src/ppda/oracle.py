@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from .chain import ChainGenerator, ChainState
+from .errors import PpdaInputError, read_text
 from .reduction import (
     DEFAULT_VARIANT,
     PcpInstance,
@@ -26,6 +27,7 @@ from .reduction import (
     format_index_word,
     load_instance,
     parse_index_word,
+    sweep_session,
 )
 
 ONE = Fraction(1)
@@ -38,7 +40,7 @@ class UnresolvedPathError(RuntimeError):
     to guess."""
 
 
-class CorpusError(ValueError):
+class CorpusError(PpdaInputError):
     pass
 
 
@@ -51,7 +53,7 @@ def index_words(n: int, max_k: int):
 def brute_force_pcp(instance: PcpInstance, max_k: int):
     """First solution in shortest-then-lexicographic order, or None."""
     if max_k < 1:
-        raise ValueError("max_k must be at least 1")
+        raise PpdaInputError("max_k must be at least 1")
     for word in index_words(instance.n, max_k):
         if check_solution(instance, word):
             return word
@@ -97,13 +99,18 @@ def search_via_reduction(
 
     Enumerates in the same order as ``brute_force_pcp``, so the two
     searches must return identical witnesses, not merely agree on
-    existence.
+    existence. The instance is compiled once, and every word is certified
+    in one ``sweep_session``: the stack of a word is its last block of
+    pairs on top of the stack of a shorter word, whose popping chain an
+    earlier certification already resolved, so each word walks and solves
+    little more than its own last block.
     """
     if max_k < 1:
-        raise ValueError("max_k must be at least 1")
+        raise PpdaInputError("max_k must be at least 1")
     artifact = compile_instance(instance, variant)
+    session = sweep_session(artifact, max_k)
     for word in index_words(instance.n, max_k):
-        if certify(instance, word, artifact=artifact).formula_holds:
+        if certify(instance, word, artifact=artifact, session=session).formula_holds:
             return word
     return None
 
@@ -134,27 +141,30 @@ def load_corpus(path) -> Corpus:
     """
     base = Path(path).parent
     entries: list[CorpusEntry] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise CorpusError(f"line {line_no}: expected 'FILE STATUS ARG'")
-            name, status, arg = tokens
-            instance = load_instance(base / name)
-            if status == "solvable":
-                witness = parse_index_word(arg)
-                if not check_solution(instance, witness):
-                    raise CorpusError(
-                        f"line {line_no}: recorded witness {arg} is not a solution of {name}"
-                    )
-                entries.append(CorpusEntry(name, instance, True, witness, None))
-            elif status == "unsolvable-up-to":
-                entries.append(CorpusEntry(name, instance, False, None, int(arg)))
-            else:
-                raise CorpusError(f"line {line_no}: unknown status {status!r}")
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if len(tokens) != 3:
+            raise CorpusError(f"line {line_no}: expected 'FILE STATUS ARG'")
+        name, status, arg = tokens
+        instance = load_instance(base / name)
+        if status == "solvable":
+            witness = parse_index_word(arg)
+            if not check_solution(instance, witness):
+                raise CorpusError(
+                    f"line {line_no}: recorded witness {arg} is not a solution of {name}"
+                )
+            entries.append(CorpusEntry(name, instance, True, witness, None))
+        elif status == "unsolvable-up-to":
+            try:
+                bound = int(arg)
+            except ValueError:
+                raise CorpusError(f"line {line_no}: bound must be an integer, got {arg!r}") from None
+            entries.append(CorpusEntry(name, instance, False, None, bound))
+        else:
+            raise CorpusError(f"line {line_no}: unknown status {status!r}")
     return Corpus(tuple(entries))
 
 

@@ -19,23 +19,24 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .chain import Budget, ChainGenerator, ChainState, Exploration
+from .errors import PpdaInputError
 from .rationals import format_rational
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(PpdaInputError):
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at offset {position})")
         self.position = position
 
 
-class BoundRangeError(ValueError):
+class BoundRangeError(PpdaInputError):
     """Probability bound outside [0, 1]."""
 
 
-class PlaceholderError(ValueError):
+class PlaceholderError(PpdaInputError):
     """A formula still contains an uninstantiated bound placeholder."""
 
 
@@ -312,7 +313,10 @@ class _Scanner:
             return BoundPlaceholder.T_HALF
         if token == "?(1-t)/2":
             return BoundPlaceholder.ONE_MINUS_T_HALF
-        value = Fraction(token)
+        try:
+            value = Fraction(token)
+        except ZeroDivisionError:
+            raise self.error(f"zero denominator in bound {token!r}") from None
         if not 0 <= value <= 1:
             raise BoundRangeError(f"probability bound {token} outside [0,1]")
         return value
@@ -511,6 +515,12 @@ class Evaluator:
     region is advanced only as far as the states the query walks to, and
     only the states reachable from it through until-variables are
     classified and solved.
+
+    Until results are memoized per formula pair: ``until_cache[(f1, f2)]``
+    maps a state to its exact value as a bare ``Fraction``, for every
+    state a query walked that resolved to a point, or to the open
+    ``ProbInterval`` a query at that state returned. A query looks its
+    pair's table up once and then reads it by state.
     """
 
     def __init__(self, gen: ChainGenerator, budget: Budget) -> None:
@@ -518,7 +528,7 @@ class Evaluator:
         self.budget = budget
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.next_cache: dict[tuple, ProbInterval] = {}
-        self.until_cache: dict[tuple, ProbInterval] = {}
+        self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
         self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
@@ -582,10 +592,10 @@ class Evaluator:
         return interval
 
     def prob_until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ProbInterval:
-        key = (state, f1, f2)
-        cached = self.until_cache.get(key)
-        if cached is not None:
-            return cached
+        table = self.until_cache.setdefault((f1, f2), {})
+        known = table.get(state)
+        if known is not None:
+            return known if isinstance(known, ProbInterval) else ProbInterval(known, known)
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
         # reaches become the unknowns of a linear system.
@@ -594,7 +604,7 @@ class Evaluator:
         variables: list[ChainState] = []
         visited: list[ChainState] = []
         sinks_are_points = True
-        for d, sink in self._walk(state, f1, f2):
+        for d, sink in self._walk(state, f1, f2, table):
             visited.append(d)
             if sink is None:
                 variables.append(d)
@@ -612,21 +622,21 @@ class Evaluator:
 
         # Memoize every visited state that resolved to a point; popping
         # chains share suffixes heavily, so later queries reuse them as sinks.
-        cache = self.until_cache
         for d in visited:
+            if d in table:
+                continue
             if d in sink_lo:
                 lo_d, hi_d = sink_lo[d], sink_hi[d]
             else:
                 lo_d, hi_d = lo_values[d], hi_values[d]
             if lo_d == hi_d:
-                dkey = (d, f1, f2)
-                if dkey not in cache:
-                    cache[dkey] = ProbInterval(lo_d, hi_d)
+                table[d] = lo_d
         if state in sink_lo:
             interval = ProbInterval(sink_lo[state], sink_hi[state])
         else:
             interval = ProbInterval(lo_values[state], hi_values[state])
-        cache[key] = interval
+        if not interval.is_point:
+            table[state] = interval
         return interval
 
     def _region(self, state: ChainState) -> Exploration:
@@ -637,19 +647,20 @@ class Evaluator:
         return region
 
     def _until_sink(
-        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration
+        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration, table: dict
     ) -> tuple[Fraction, Fraction] | None:
         """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
 
         A variable is settled in ``region``, satisfies f1 and not f2, and is
-        not absorbing. A state already resolved to a point in this session
-        is an exact sink. The one sink that is not a point is
-        ``_OPEN_SINK``. f1 is evaluated only where f2 is not True, and the
-        region is advanced only for a state that could be a variable.
+        not absorbing. A state already resolved to a point in this session,
+        a ``Fraction`` in ``table`` (the formula pair's memo), is an exact
+        sink. The one sink that is not a point is ``_OPEN_SINK``. f1 is
+        evaluated only where f2 is not True, and the region is advanced
+        only for a state that could be a variable.
         """
-        known = self.until_cache.get((d, f1, f2))
-        if known is not None and known.is_point:
-            return known.lo, known.hi
+        known = table.get(d)
+        if isinstance(known, Fraction):
+            return known, known
         right = self.eval_state(d, f2)
         if right is TRUE:
             return _TRUE_SINK
@@ -664,7 +675,7 @@ class Evaluator:
             return _FALSE_SINK
         return None
 
-    def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula):
+    def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict):
         """Yield ``(d, sink)`` for each state reachable from ``state`` through variables.
 
         Breadth-first from ``state`` over the until's region at ``state``;
@@ -678,7 +689,7 @@ class Evaluator:
         queue = deque([state])
         while queue:
             d = queue.popleft()
-            sink = self._until_sink(d, f1, f2, region)
+            sink = self._until_sink(d, f1, f2, region, table)
             yield d, sink
             if sink is None:
                 for target, _ in successors(d):
@@ -697,7 +708,8 @@ class Evaluator:
         interval, and it stops at the first sink with a positive lower bound.
         """
         maybe = False
-        for _, sink in self._walk(state, f1, f2):
+        table = self.until_cache.setdefault((f1, f2), {})
+        for _, sink in self._walk(state, f1, f2, table):
             if sink is None:
                 continue
             if sink[0] > 0:

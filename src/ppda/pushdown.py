@@ -18,6 +18,7 @@ from functools import cached_property
 from typing import Mapping
 
 from .chain import ChainGenerator
+from .errors import PpdaInputError
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 ONE = Fraction(1)
@@ -25,17 +26,21 @@ ONE = Fraction(1)
 EMPTY_MARK = "~"
 
 
-class ModelSyntaxError(ValueError):
+class ModelSyntaxError(PpdaInputError):
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
         self.line = line
 
 
-class UnknownSymbolError(ValueError):
+class UnknownSymbolError(PpdaInputError):
     """A configuration holds a symbol that is not in the model's stack alphabet."""
 
     def __init__(self, symbol: str) -> None:
         super().__init__(f"unknown stack symbol {symbol!r}: the model has no rule for it")
+
+
+class InvalidModelError(PpdaInputError):
+    """A model fails ``validate_model``."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration
     """
     problems = validate_model(model)
     if problems:
-        raise ValueError("invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems))
+        raise InvalidModelError("invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems))
     known = set(model.alphabet)
     for symbol in start.stack:
         if symbol not in known:

@@ -9,10 +9,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import PpdaInputError
+
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
-class RationalFormatError(ValueError):
+class RationalFormatError(PpdaInputError):
     """Raised when a rational token does not match ``int`` or ``int/posint``."""
 
 

@@ -23,6 +23,7 @@ from typing import Mapping
 
 from . import pctl
 from .chain import Budget, ChainGenerator, FinitePath
+from .errors import PpdaInputError, read_text
 from .pctl import (
     And,
     Atom,
@@ -49,28 +50,32 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-class DegenerateInstanceError(ValueError):
+class DegenerateInstanceError(PpdaInputError):
     """Every word of the instance is empty, so there is nothing to pad."""
 
 
-class InstanceFormatError(ValueError):
+class InstanceFormatError(PpdaInputError):
     pass
 
 
-class IndexRangeError(ValueError):
+class IndexRangeError(PpdaInputError):
     """An index word uses an index outside 1..n or is empty."""
 
 
-class MalformedWordError(ValueError):
+class MalformedWordError(PpdaInputError):
     pass
 
 
-class DomainError(ValueError):
+class DomainError(PpdaInputError):
     pass
 
 
-class TRangeError(ValueError):
+class TRangeError(PpdaInputError):
     """The certification constant t must lie strictly between 0 and 1."""
+
+
+class VariantFormatError(PpdaInputError):
+    """A variant name that is not ``default``, ``cf-simple`` or ``n-chain K``."""
 
 
 class CertificationBudgetError(RuntimeError):
@@ -190,8 +195,7 @@ def serialize_instance(instance: PcpInstance) -> str:
 
 
 def load_instance(path) -> PcpInstance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance(handle.read())
+    return parse_instance(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +265,29 @@ class Variant:
 
     def __post_init__(self) -> None:
         if self.kind is VariantKind.N_CHAIN and self.chain_length < 1:
-            raise ValueError("chain length must be at least 1")
+            raise VariantFormatError("chain length must be at least 1")
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
         tokens = text.replace(":", " ").split()
         if not tokens:
-            raise ValueError("empty variant")
-        kind = VariantKind(tokens[0])
+            raise VariantFormatError("empty variant")
+        try:
+            kind = VariantKind(tokens[0])
+        except ValueError:
+            raise VariantFormatError(
+                f"unknown variant {tokens[0]!r}: expected default, cf-simple or 'n-chain K'"
+            ) from None
         if kind is VariantKind.N_CHAIN:
-            length = int(tokens[1]) if len(tokens) > 1 else 1
+            if len(tokens) > 2:
+                raise VariantFormatError(f"variant 'n-chain' takes one argument, got {text!r}")
+            try:
+                length = int(tokens[1]) if len(tokens) > 1 else 1
+            except ValueError:
+                raise VariantFormatError(f"chain length must be an integer, got {tokens[1]!r}") from None
             return cls(kind, length)
         if len(tokens) > 1:
-            raise ValueError(f"variant {tokens[0]!r} takes no argument")
+            raise VariantFormatError(f"variant {tokens[0]!r} takes no argument")
         return cls(kind)
 
 
@@ -533,7 +547,13 @@ def verification_budget(pair_count: int) -> Budget:
 
 
 def sweep_session(artifact: ReductionArtifact, max_k: int) -> pctl.Evaluator:
-    """A shared evaluation session sized for every guess up to length max_k."""
+    """A shared evaluation session sized for every guess up to length max_k.
+
+    Pass it to ``certify`` for each word of one instance: sweeps over all
+    words and ``oracle.search_via_reduction`` both certify through one
+    session, whose memoized until-points let each word reuse the popping
+    chains of the words already certified.
+    """
     return pctl.Evaluator(artifact.chain, verification_budget(max_k * artifact.m + 2))
 
 

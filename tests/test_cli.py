@@ -2,10 +2,12 @@ from pathlib import Path
 
 import pytest
 
-from ppda import reduction
-from ppda.chain import Budget
+from ppda import cli, oracle, pctl, pushdown, reduction
+from ppda.chain import Budget, InvalidPathError
 from ppda.cli import main
+from ppda.errors import InputEncodingError, PpdaInputError
 from ppda.pushdown import parse_model, validate_model
+from ppda.rationals import RationalFormatError
 
 
 @pytest.fixture()
@@ -112,6 +114,49 @@ class TestSearch:
     def test_solve_is_brute_shorthand(self, p1_file, capsys):
         assert main(["solve", "--instance", p1_file, "--max-k", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1,2"
+
+    @pytest.mark.parametrize("command", [["search", "--engine", "both"], ["solve"]])
+    def test_max_k_over_the_word_limit_refused(self, tmp_path, capsys, monkeypatch, command):
+        # 3 pairs and --max-k 20 are about 5.2e9 index words: refused
+        # before either engine starts.
+        def engine(*args, **kwargs):
+            raise AssertionError("a search engine was called")
+
+        monkeypatch.setattr(oracle, "brute_force_pcp", engine)
+        monkeypatch.setattr(oracle, "search_via_reduction", engine)
+        path = tmp_path / "three.pcp"
+        path.write_text("AB A\nB BB\nA AB\n")
+        assert main([command[0], "--instance", str(path), "--max-k", "20", *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --max-k 20 with 3 pairs means more than 100000 index words to search; "
+            "lower --max-k\n"
+        )
+
+    def test_word_limit_boundary(self):
+        # 3 + 9 + ... + 3^10 = 88,572 words are allowed; 3^11 more are not.
+        cli.check_search_cost(3, 10)
+        with pytest.raises(PpdaInputError):
+            cli.check_search_cost(3, 11)
+        cli.check_search_cost(1, cli.MAX_SEARCH_WORDS)
+        with pytest.raises(PpdaInputError):
+            cli.check_search_cost(1, cli.MAX_SEARCH_WORDS + 1)
+        with pytest.raises(PpdaInputError):
+            cli.check_search_cost(2, 10**15)
+
+    def test_word_limit_in_help(self, capsys):
+        for command in ("search", "solve"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "100000 words" in " ".join(capsys.readouterr().out.split())
+
+    def test_non_utf8_instance_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.pcp"
+        path.write_bytes(b"AB \xff\n")
+        assert main(["search", "--instance", str(path), "--max-k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
 
 
 class TestEval:
@@ -254,6 +299,63 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: unknown stack symbol '{symbol}': the model has no rule for it\n"
+
+    def test_invalid_interval_is_an_internal_fault(self, tmp_path, monkeypatch):
+        # An invalid ProbInterval is a broken invariant, not bad input: its
+        # ValueError must escape main instead of becoming exit 2.
+        def broken(self, state, path):
+            return pctl.ProbInterval(pctl.ONE, pctl.ZERO)
+
+        monkeypatch.setattr(pctl.Evaluator, "prob_path", broken)
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n")
+        formula = tmp_path / "next.pctl"
+        formula.write_text("(P> 0 (X true))")
+        with pytest.raises(ValueError, match="invalid interval") as info:
+            main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert not isinstance(info.value, PpdaInputError)
+
+    def test_zero_denominator_bound_refused(self, tmp_path, capsys):
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n")
+        formula = tmp_path / "bound.pctl"
+        formula.write_text("(P> 1/0 (X true))")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: zero denominator in bound '1/0' (at offset 7)\n"
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("error", [
+        reduction.InstanceFormatError, reduction.DegenerateInstanceError, reduction.IndexRangeError,
+        reduction.MalformedWordError, reduction.DomainError, reduction.TRangeError,
+        reduction.VariantFormatError, pctl.FormulaSyntaxError, pctl.BoundRangeError,
+        pctl.PlaceholderError, pushdown.ModelSyntaxError, pushdown.UnknownSymbolError,
+        pushdown.InvalidModelError, RationalFormatError, InvalidPathError, oracle.CorpusError,
+        InputEncodingError,
+    ])
+    def test_input_errors_share_one_base(self, error):
+        assert issubclass(error, PpdaInputError) and issubclass(error, ValueError)
+
+    def test_cli_catches_only_input_errors(self):
+        assert cli._INPUT_ERRORS == (PpdaInputError, OSError)
+
+    @pytest.mark.parametrize("text", ["bogus", "", "n-chain x", "n-chain 0", "n-chain 2 3", "default 1"])
+    def test_bad_variant_refused(self, tmp_path, p1_file, capsys, text):
+        code = main(["compile", "--instance", p1_file, "--variant", text, "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--max-states", "0"], ["--max-depth", "-1"]])
+    def test_non_positive_budget_refused(self, tmp_path, capsys, flags):
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n")
+        formula = tmp_path / "head.pctl"
+        formula.write_text("(ap X)")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula), *flags])
+        assert code == 2
+        assert capsys.readouterr().err == "error: budget limits must be positive\n"
 
 
 class TestLemmas:

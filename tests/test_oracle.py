@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import conftest
 from ppda import pctl, reduction
@@ -111,6 +112,38 @@ class TestSearchViaReduction:
             assert brute_force_pcp(instance, 3) == search_via_reduction(instance, 3)
 
 
+_pcp_words = st.text(alphabet="AB", max_size=3)
+
+
+@st.composite
+def _instances(draw) -> PcpInstance:
+    """Instances of 1-3 pairs over words of at most 3 letters, not all empty."""
+    pairs = draw(st.lists(st.tuples(_pcp_words, _pcp_words), min_size=1, max_size=3)
+                 .filter(lambda ps: any(u or v for u, v in ps)))
+    return PcpInstance(tuple(pairs))
+
+
+class TestSharedSession:
+    """Search certifies every word of an instance in one session."""
+
+    @settings(max_examples=60)
+    @given(_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
+    def test_session_reports_equal_cold_certify(self, instance, variant_text):
+        variant = reduction.Variant.parse(variant_text)
+        artifact = reduction.compile_instance(instance, variant)
+        session = reduction.sweep_session(artifact, 3)
+        for word in index_words(instance.n, 3):
+            shared = reduction.certify(instance, word, artifact=artifact, session=session)
+            assert shared == reduction.certify(instance, word, variant=variant)
+            assert shared.formula_holds == shared.is_solution
+
+    @settings(max_examples=60)
+    @given(_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
+    def test_search_equals_brute_force(self, instance, variant_text):
+        variant = reduction.Variant.parse(variant_text)
+        assert search_via_reduction(instance, 3, variant=variant) == brute_force_pcp(instance, 3)
+
+
 class TestCorpus:
     def test_bundled_corpus_loads(self):
         corpus = load_corpus(corpus_path())
@@ -130,6 +163,13 @@ class TestCorpus:
         listing = tmp_path / "corpus.txt"
         listing.write_text("x.pcp maybe 1\n")
         with pytest.raises(CorpusError):
+            load_corpus(listing)
+
+    def test_unsolvable_bound_must_be_an_integer(self, tmp_path):
+        (tmp_path / "x.pcp").write_text("A B\n")
+        listing = tmp_path / "corpus.txt"
+        listing.write_text("x.pcp unsolvable-up-to four\n")
+        with pytest.raises(CorpusError, match="line 1: bound must be an integer"):
             load_corpus(listing)
 
     def test_corpus_check_agrees(self):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ppda.chain import Budget, ChainGenerator, Exploration, explore
 from ppda.cli import main
@@ -402,6 +402,46 @@ class TestDemandDrivenUntil:
         for state in discovered:
             assert region.is_settled(state) is (state in full.settled)
         assert region.run() == full
+
+
+class TestSessionUntilTables:
+    """One session answers untils for several (f1, f2) pairs, each from its own table."""
+
+    def test_open_states_are_not_memoized_as_points(self):
+        # At depth 1 the query at b cuts c, so b is [1/2, 1] and c is an open
+        # sink of it. A later query at c must not read c's lower bound back as
+        # its value: c's own region also cuts, and its true value is 1.
+        one = Fraction(1)
+        table = {"b": [("c", H), ("win", H)], "c": [("d", one)], "d": [("win", one)],
+                 "win": [("win", one)]}
+        gen = gen_from(table, {"win": frozenset({"win"})}, initial="b")
+        session = Evaluator(gen, Budget(10, 1))
+        assert session.prob_until("b", TRUE_FORMULA, Atom("win")) == ProbInterval(H, one)
+        assert session.prob_until("c", TRUE_FORMULA, Atom("win")) == ProbInterval(Fraction(0), one)
+        assert session.until_cache[(TRUE_FORMULA, Atom("win"))] == {
+            "b": ProbInterval(H, one), "c": ProbInterval(Fraction(0), one), "win": one}
+
+    @settings(max_examples=200)
+    @given(_small_bpas(), _propositional(), _propositional(), _propositional(), _propositional(),
+           st.lists(st.tuples(st.lists(st.sampled_from(_SYMBOLS), max_size=4), st.booleans()),
+                    min_size=2, max_size=8),
+           st.integers(1, 40), st.integers(1, 8))
+    def test_interleaved_pairs_match_fresh_sessions(self, model, f1a, f2a, f1b, f2b, queries,
+                                                    max_states, max_depth):
+        assume((f1a, f2a) != (f1b, f2b))
+        assignment = SimpleAssignment.identity(model.alphabet)
+        gen = induced_chain(model, assignment, Configuration(tuple(queries[0][0])))
+        budget = Budget(max_states, max_depth)
+        session = Evaluator(gen, budget)
+        for stack, second in queries:
+            f1, f2 = (f1b, f2b) if second else (f1a, f2a)
+            state = Configuration(tuple(stack)).encode()
+            got = session.prob_until(state, f1, f2)
+            fresh = Evaluator(gen, budget).prob_until(state, f1, f2)
+            # Exact points memoized by earlier queries can only tighten.
+            assert fresh.lo <= got.lo <= got.hi <= fresh.hi
+            if fresh.is_point:
+                assert got == fresh
 
 
 # A cyclic model: X and Y call each other, so the until

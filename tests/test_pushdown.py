@@ -8,6 +8,7 @@ from ppda.pushdown import (
     Bpa,
     BpaRule,
     Configuration,
+    InvalidModelError,
     ModelSyntaxError,
     SimpleAssignment,
     UnknownSymbolError,
@@ -140,7 +141,7 @@ class TestInducedChain:
 
     def test_invalid_model_rejected(self):
         bad = Bpa.make([BpaRule("X", ("X",), H)])
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidModelError, match="invalid model: X: rule probabilities sum to 1/2"):
             induced_chain(bad, SimpleAssignment.identity(bad.alphabet), Configuration(("X",)))
 
     def test_unknown_start_symbol_rejected(self):

@@ -282,7 +282,8 @@ class TestCertify:
         session = pctl.Evaluator(p1_artifact.chain, Budget(2, 2))
         with pytest.raises(CertificationBudgetError, match="did not settle") as info:
             certify(p1, (1, 2), artifact=p1_artifact, session=session)
-        # Not an input error: the CLI reports ValueErrors as usage errors.
+        # Not an input error: the CLI reports PpdaInputErrors, which are
+        # ValueErrors, as usage errors.
         assert not isinstance(info.value, ValueError)
 
     def test_halving(self, p1, p1_artifact):
