@@ -74,7 +74,6 @@ class ChainGenerator:
         self._successors = successors
         self._labels = labels
         self._succ_cache: dict[ChainState, list[tuple[ChainState, Fraction]]] = {}
-        self._label_cache: dict[ChainState, frozenset[str]] = {}
 
     def successors(self, state: ChainState) -> list[tuple[ChainState, Fraction]]:
         cached = self._succ_cache.get(state)
@@ -86,11 +85,7 @@ class ChainGenerator:
         return cached
 
     def labels(self, state: ChainState) -> frozenset[str]:
-        cached = self._label_cache.get(state)
-        if cached is None:
-            cached = frozenset(self._labels(state))
-            self._label_cache[state] = cached
-        return cached
+        return frozenset(self._labels(state))
 
     def transition_probability(self, src: ChainState, dst: ChainState) -> Fraction | None:
         for t, p in self.successors(src):

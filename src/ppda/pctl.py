@@ -1,4 +1,4 @@
-"""PCTL formulas and a sound bounded evaluator over lazy Markov chains.
+"""PCTL formulas and a sound bounded evaluator over the Markov chains of pBPAs.
 
 State formulas: true, atomic proposition, negation, conjunction, and
 probability bounds P>r / P=r over the path operators X (next) and U
@@ -18,8 +18,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Union
 
-from .chain import Budget, ChainGenerator, ChainState, Exploration
+from .chain import Budget, ChainState, Exploration
 from .errors import PpdaInputError
+from .pushdown import BpaChain
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -243,9 +244,10 @@ _KEYWORD_RE = re.compile(r"[A-Za-z>=]+")
 _BOUND_RE = re.compile(r"\?t/2|\?\(1-t\)/2|-?\d+(?:/\d+)?")
 
 
-# Deepest operator nesting the parser accepts. The parser, the formula
-# hashes and the evaluator all recurse on nesting, so deeper input would
-# exhaust the interpreter stack; the reduction's formulas stay below 20.
+# Deepest operator nesting the parser accepts. Parsing, serializing, hashing,
+# replace_bounds and the evaluator's descent through probability operators
+# recurse on nesting (propositional operands compile without recursion), so
+# deeper input would exhaust the stack; the reduction's formulas stay below 20.
 MAX_NESTING = 200
 
 
@@ -456,54 +458,18 @@ def compare(interval: ProbInterval, comparison: Comparison, bound: Fraction) -> 
 # Bounded three-valued evaluation
 
 
-def _is_propositional(formula) -> bool:
-    """No probability operator inside: the verdict depends only on labels."""
-    cached = _PROPOSITIONAL.get(formula)
-    if cached is None:
-        if isinstance(formula, (TrueFormula, Atom)):
-            cached = True
-        elif isinstance(formula, Not):
-            cached = _is_propositional(formula.operand)
-        elif isinstance(formula, And):
-            cached = _is_propositional(formula.left) and _is_propositional(formula.right)
-        else:
-            cached = False
-        _PROPOSITIONAL[formula] = cached
-    return cached
-
-
-_PROPOSITIONAL: dict = {}
-
-
-def _eval_propositional(formula, labels: frozenset) -> ThreeValued:
-    key = (formula, labels)
-    cached = _PROPOSITIONAL_VERDICTS.get(key)
-    if cached is None:
-        if isinstance(formula, TrueFormula):
-            cached = TRUE
-        elif isinstance(formula, Atom):
-            cached = TRUE if formula.name in labels else FALSE
-        elif isinstance(formula, Not):
-            cached = kleene_not(_eval_propositional(formula.operand, labels))
-        else:
-            cached = kleene_and(
-                _eval_propositional(formula.left, labels),
-                _eval_propositional(formula.right, labels),
-            )
-        _PROPOSITIONAL_VERDICTS[key] = cached
-    return cached
-
-
-_PROPOSITIONAL_VERDICTS: dict = {}
-
-# The (lo, hi) contributions of until-sinks that labels decide.
+# The (lo, hi) contributions of until-sinks that operand verdicts decide.
 _TRUE_SINK = (ONE, ONE)
 _FALSE_SINK = (ZERO, ZERO)
 _OPEN_SINK = (ZERO, ONE)
 
 
 class Evaluator:
-    """One evaluation session: a generator, a budget, and shared caches.
+    """One evaluation session: a pBPA chain, a budget, and session caches.
+
+    A formula without a probability operator is compiled once per session
+    to ``head_sets[formula]``, the stack heads where it holds (None for the
+    empty stack), and holds at a state exactly when ``gen.head`` is in it.
 
     Every verdict is sound and every interval contains the true value, and
     for one query history the intervals nest as the budget grows. They are
@@ -523,17 +489,22 @@ class Evaluator:
     pair's table up once and then reads it by state.
     """
 
-    def __init__(self, gen: ChainGenerator, budget: Budget) -> None:
+    def __init__(self, gen: BpaChain, budget: Budget) -> None:
         self.gen = gen
         self.budget = budget
+        self.universe = frozenset(gen.bpa.alphabet) | {None}
+        self.head_sets: dict[StateFormula, frozenset | None] = {}
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.next_cache: dict[tuple, ProbInterval] = {}
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
         self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
-        if _is_propositional(formula):
-            return _eval_propositional(formula, self.gen.labels(state))
+        heads = self.head_sets.get(formula)
+        if heads is None and formula not in self.head_sets:
+            heads = self._compile(formula)
+        if heads is not None:
+            return TRUE if self.gen.head(state) in heads else FALSE
         key = (state, formula)
         cached = self.state_cache.get(key)
         if cached is not None:
@@ -542,11 +513,33 @@ class Evaluator:
         self.state_cache[key] = value
         return value
 
+    def _compile(self, formula: StateFormula) -> frozenset | None:
+        """Fill ``head_sets`` for ``formula`` and its subformulas, children first, from an
+        explicit stack; a ``Prob`` is not entered, and it and all above it map to None."""
+        sets, named = self.head_sets, self.gen.assignment.heads
+        pending = [formula]
+        while pending:
+            f = pending[-1]
+            parts = (f.operand,) if isinstance(f, Not) else (f.left, f.right) if isinstance(f, And) else ()
+            missing = [part for part in parts if part not in sets]
+            if missing:
+                pending.extend(missing)
+                continue
+            pending.pop()
+            compiled = [sets[part] for part in parts]
+            if None in compiled:
+                sets[f] = None
+            elif isinstance(f, Not):
+                sets[f] = self.universe - compiled[0]
+            elif isinstance(f, And):
+                sets[f] = compiled[0] & compiled[1]
+            elif isinstance(f, Atom):
+                sets[f] = named.get(f.name, frozenset())
+            else:
+                sets[f] = self.universe if isinstance(f, TrueFormula) else None
+        return sets[formula]
+
     def _eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
-        if isinstance(formula, TrueFormula):
-            return TRUE
-        if isinstance(formula, Atom):
-            return TRUE if formula.name in self.gen.labels(state) else FALSE
         if isinstance(formula, Not):
             return kleene_not(self.eval_state(state, formula.operand))
         if isinstance(formula, And):

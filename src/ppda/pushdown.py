@@ -100,8 +100,10 @@ class Bpa:
 
 
 def validate_model(model: Bpa) -> list[ModelViolation]:
-    """Rule totality per head, probability sums, and body-length checks."""
+    """Rule totality per head, probability sums, body lengths, and no ``~`` symbol."""
     out: list[ModelViolation] = []
+    if EMPTY_MARK in model.alphabet:
+        out.append(ModelViolation(EMPTY_MARK, "'~' is the empty stack and cannot be a stack symbol"))
     per_head: dict[str, Fraction] = {}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
@@ -160,7 +162,30 @@ class SimpleAssignment:
         return SimpleAssignment({s: frozenset([s]) for s in symbols})
 
 
-def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> ChainGenerator:
+class BpaChain(ChainGenerator):
+    """The Markov chain a pBPA induces over encoded configurations; labels derive from ``head``."""
+
+    def __init__(self, bpa: Bpa, assignment: SimpleAssignment, start: Configuration) -> None:
+        self.bpa = bpa
+        self.assignment = assignment
+        by_head: dict[str, set[str]] = {}
+        for prop, heads in assignment.heads.items():
+            for head in heads:
+                by_head.setdefault(head, set()).add(prop)
+
+        # The closures hold no reference to the chain, so refcounting frees it.
+        def successors(state: str) -> list[tuple[str, Fraction]]:
+            return [(cfg.encode(), p) for cfg, p in step(bpa, Configuration.parse(state))]
+        super().__init__(start.encode(), successors, lambda state: by_head.get(BpaChain.head(state), ()))
+
+    @staticmethod
+    def head(state: str) -> str | None:
+        """The top stack symbol of an encoded configuration; None for the empty stack."""
+        top = state.partition(" ")[0]
+        return None if top == EMPTY_MARK else top
+
+
+def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> BpaChain:
     """The Markov chain over configurations, labeled by the assignment.
 
     Raises ``UnknownSymbolError`` if ``start`` holds a symbol outside the
@@ -173,26 +198,7 @@ def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration
     for symbol in start.stack:
         if symbol not in known:
             raise UnknownSymbolError(symbol)
-
-    def successors(state: str):
-        config = Configuration.parse(state)
-        return [(cfg.encode(), p) for cfg, p in step(model, config)]
-
-    # Invert the head sets once: label lookup becomes one dict access.
-    by_head: dict[str, set[str]] = {}
-    for prop, heads in assignment.heads.items():
-        for head in heads:
-            by_head.setdefault(head, set()).add(prop)
-    inverted = {head: frozenset(props) for head, props in by_head.items()}
-    empty: frozenset[str] = frozenset()
-
-    def labels(state: str):
-        config = Configuration.parse(state)
-        if not config.stack:
-            return empty
-        return inverted.get(config.head, empty)
-
-    return ChainGenerator(start.encode(), successors, labels)
+    return BpaChain(model, assignment, start)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +219,8 @@ def _parse_rule_line(tokens: list[str], line_no: int) -> BpaRule:
     except RationalFormatError as exc:
         raise ModelSyntaxError(str(exc), line_no) from None
     body = rhs[:-1]
-    if len(lhs) != 1:
-        raise ModelSyntaxError("head must be a single symbol", line_no)
+    if len(lhs) != 1 or lhs == [EMPTY_MARK]:
+        raise ModelSyntaxError("head must be a single symbol other than '~'", line_no)
     if body == [EMPTY_MARK]:
         body = []
     if len(body) > 2:

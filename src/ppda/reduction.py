@@ -367,12 +367,10 @@ class ReductionArtifact:
     padded: PaddedInstance
     variant: Variant
     bpa: Bpa
-    gamma: tuple[str, ...]
     assignment: SimpleAssignment
     phi1: PathFormula
     phi2: PathFormula
     top_formula: StateFormula
-    variant_formulas: Mapping[str, StateFormula]
 
     @property
     def n(self) -> int:
@@ -448,12 +446,10 @@ def compile_instance(instance: PcpInstance, variant: Variant = DEFAULT_VARIANT) 
         padded=padded,
         variant=variant,
         bpa=bpa,
-        gamma=bpa.alphabet,
         assignment=assignment,
         phi1=PHI1,
         phi2=PHI2,
         top_formula=_TOP_FORMULAS[variant.kind],
-        variant_formulas={kind.value: _TOP_FORMULAS[kind] for kind in VariantKind},
     )
 
 

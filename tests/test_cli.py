@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from ppda import cli, oracle, pctl, pushdown, reduction
+from ppda import cli, oracle, pctl, properties, pushdown, reduction
 from ppda.chain import Budget, InvalidPathError
 from ppda.cli import main
 from ppda.errors import InputEncodingError, PpdaInputError
@@ -288,7 +288,7 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("config, symbol", [("Q", "Q"), ("X Y", "Y")])
+    @pytest.mark.parametrize("config, symbol", [("Q", "Q"), ("X Y", "Y"), ("X ~", "~")])
     def test_unknown_stack_symbol_refused(self, tmp_path, capsys, config, symbol):
         model = tmp_path / "m.bpa"
         model.write_text("X -> ~ [1]\n")
@@ -299,6 +299,19 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: unknown stack symbol '{symbol}': the model has no rule for it\n"
+
+    def test_empty_mark_head_refused(self, tmp_path, capsys):
+        # Accepted, the head "~" made the stack "~" read back as empty: the
+        # verdict was False where the true value is 1.
+        model = tmp_path / "m.bpa"
+        model.write_text("X -> ~ [1]\n~ -> Y [1]\nY -> Y [1]\n")
+        formula = tmp_path / "reach.pctl"
+        formula.write_text("(P> 0 (U true (ap Y)))")
+        code = main(["eval", "--model", str(model), "--config", "X ~", "--formula", str(formula)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: head must be a single symbol other than '~'\n"
 
     def test_invalid_interval_is_an_internal_fault(self, tmp_path, monkeypatch):
         # An invalid ProbInterval is a broken invariant, not bad input: its
@@ -368,3 +381,26 @@ class TestLemmas:
     def test_invalid_sizes(self):
         assert main(["lemmas", "--sizes", "3,3"]) == 2
         assert main(["lemmas", "--sizes", "a,b,c"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["101,1,1", "1,33,32", "1,1,1025"])
+    def test_oversized_sizes_refused(self, capsys, monkeypatch, sizes):
+        def suite(*args):
+            raise AssertionError("the suite was run")
+
+        monkeypatch.setattr(properties, "run_suite", suite)
+        assert main(["lemmas", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --sizes {sizes} is over the limits n <= 100 and m*k <= 1024\n"
+
+    @pytest.mark.parametrize("sizes", ["100,32,32", "1,1024,1", "1,1,1024"])
+    def test_largest_sizes_accepted(self, monkeypatch, sizes):
+        calls = []
+        monkeypatch.setattr(properties, "run_suite", lambda *args: calls.append(args) or [])
+        assert main(["lemmas", "--seed", "3", "--sizes", sizes]) == 0
+        assert calls == [(3, *(int(part) for part in sizes.split(",")))]
+
+    def test_size_limits_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["lemmas", "--help"])
+        assert "n > 100 or m*k > 1024" in " ".join(capsys.readouterr().out.split())

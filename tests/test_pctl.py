@@ -1,10 +1,12 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ppda.chain import Budget, ChainGenerator, Exploration, explore
+from ppda.chain import Budget, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
     MAX_NESTING,
@@ -31,14 +33,26 @@ from ppda.pctl import (
     parse_path_formula,
     serialize_formula,
 )
-from ppda.pushdown import Bpa, BpaRule, Configuration, SimpleAssignment, induced_chain, parse_model
+from ppda.pushdown import Bpa, BpaChain, BpaRule, Configuration, SimpleAssignment, induced_chain, parse_model
 
 H = Fraction(1, 2)
 BUDGET = Budget(200, 50)
 
 
-def gen_from(table: dict, labels: dict, initial: str = "a") -> ChainGenerator:
-    return ChainGenerator(initial, lambda s: table[s], lambda s: labels.get(s, frozenset()))
+def gen_from(table: dict, labels: dict, initial: str = "a") -> BpaChain:
+    """The chain of ``table`` as a pBPA: each state is a one-symbol stack with a
+    rule ``s -> t [p]`` per positive entry, a state without a row loops on
+    itself, and the labels become head sets."""
+    rows = {initial: [(initial, Fraction(1))]}
+    rows.update({t: [(t, Fraction(1))] for row in table.values() for t, _ in row})
+    rows.update(table)
+    rules = [BpaRule(s, (t,), p) for s, row in rows.items() for t, p in row if p]
+    heads: dict[str, set[str]] = {}
+    for state, props in labels.items():
+        for prop in props:
+            heads.setdefault(prop, set()).add(state)
+    assignment = SimpleAssignment({prop: frozenset(states) for prop, states in heads.items()})
+    return induced_chain(Bpa.make(rules), assignment, Configuration((initial,)))
 
 
 class TestParsing:
@@ -311,6 +325,68 @@ def _propositional():
                         max_leaves=4)
 
 
+def _label_verdict(formula, labels: frozenset) -> bool:
+    """Reference semantics of a propositional formula on a label set."""
+    if isinstance(formula, Atom):
+        return formula.name in labels
+    if isinstance(formula, Not):
+        return not _label_verdict(formula.operand, labels)
+    if isinstance(formula, And):
+        return _label_verdict(formula.left, labels) and _label_verdict(formula.right, labels)
+    return True
+
+
+_PROPS = ("p", "q", "r")
+
+
+class TestHeadSets:
+    """Propositional operands are compiled to head sets; labels are not read."""
+
+    @settings(max_examples=300)
+    @given(_small_bpas(),
+           st.dictionaries(st.sampled_from(_PROPS), st.frozensets(st.sampled_from(_SYMBOLS)), min_size=1),
+           st.recursive(st.one_of(st.just(TRUE_FORMULA), st.builds(Atom, st.sampled_from(_PROPS + ("W",)))),
+                        lambda kids: st.one_of(st.builds(Not, kids), st.builds(And, kids, kids)),
+                        max_leaves=6),
+           st.lists(st.sampled_from(_SYMBOLS), max_size=3))
+    def test_matches_label_semantics(self, model, heads, formula, stack):
+        gen = induced_chain(model, SimpleAssignment(heads), Configuration(tuple(stack)))
+        session = Evaluator(gen, BUDGET)
+        for state in (gen.initial, "~"):
+            expected = TRUE if _label_verdict(formula, gen.labels(state)) else FALSE
+            assert session.eval_state(state, formula) is expected
+
+    def test_negated_atom_holds_on_the_empty_stack(self):
+        gen = _cyclic_chain()
+        assert Evaluator(gen, BUDGET).eval_state("~", parse_formula("(not (ap X))")) is TRUE
+        assert Evaluator(gen, BUDGET).eval_state("~", parse_formula("(ap X)")) is FALSE
+
+    def test_session_and_chain_are_freed_without_the_cycle_collector(self):
+        # A reference cycle through the chain would keep its successor cache,
+        # and the session's caches, alive until a full collection.
+        gen = _cyclic_chain()
+        session = Evaluator(gen, Budget(100, 1000))
+        session.prob_until("X", Not(Atom("Z")), Atom("Z"))
+        refs = [weakref.ref(gen), weakref.ref(session)]
+        gc.disable()
+        try:
+            del gen, session
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_labels_are_never_read(self):
+        def refuse(state):
+            raise AssertionError(f"labels read at {state!r}")
+
+        gen = _cyclic_chain()
+        gen.labels = refuse
+        expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", Not(Atom("Z")), Atom("Z"))
+        session = Evaluator(gen, Budget(100, 1000))
+        assert session.prob_until("X", Not(Atom("Z")), Atom("Z")) == expected
+        assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is UNKNOWN
+
+
 class TestQualitativeUntil:
     """Bound-0 untils are decided by reachability; the verdicts must match the solve."""
 
@@ -350,11 +426,11 @@ class TestQualitativeUntil:
         assert evaluator.region_cache["Z"].settled_count <= 31
 
 
-def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
+def _full_region_until(gen: BpaChain, budget: Budget, f1, f2) -> ProbInterval:
     """The until-interval at the start from the whole region: explore it, classify
     every discovered state, and solve for both bounds."""
     region = explore(gen, gen.initial, budget)
-    operands = Evaluator(gen, budget)  # f1 and f2 are propositional: verdicts from labels only
+    operands = Evaluator(gen, budget)  # f1 and f2 are propositional: verdicts from head sets only
     sink_lo, sink_hi, variables = {}, {}, []
     for d in sorted(region.settled | region.frontier):
         right, left = operands.eval_state(d, f2), operands.eval_state(d, f1)
@@ -457,7 +533,7 @@ Z -> ~ [1]
 CYCLIC_QUERY = "(P> 0 (U (not (ap Z)) (ap Z)))"
 
 
-def _cyclic_chain() -> ChainGenerator:
+def _cyclic_chain() -> BpaChain:
     model = parse_model(CYCLIC_MODEL)
     return induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X",)))
 

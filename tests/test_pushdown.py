@@ -56,6 +56,15 @@ class TestValidateModel:
         model = Bpa.make([BpaRule("X", ("X", "X", "X"), ONE)])
         assert any("longer than 2" in p.reason for p in validate_model(model))
 
+    @pytest.mark.parametrize("rules", [
+        [BpaRule("X", ("~",), ONE), BpaRule("~", ("X",), ONE)],
+        [BpaRule("X", ("~",), ONE)],
+    ])
+    def test_empty_mark_symbol_flagged(self, rules):
+        # "~" encodes the empty stack, so a stack holding it would read back as empty.
+        problems = validate_model(Bpa.make(rules))
+        assert any(p.subject == "~" and "empty stack" in p.reason for p in problems)
+
 
 class TestStep:
     def test_pop_rule(self):
@@ -110,6 +119,10 @@ class TestModelText:
     def test_bad_probability(self):
         with pytest.raises(ModelSyntaxError):
             parse_model("X -> ~ [p]\n")
+
+    def test_empty_mark_head_rejected(self):
+        with pytest.raises(ModelSyntaxError, match="line 2: head must be a single symbol other than '~'"):
+            parse_model("X -> ~ [1]\n~ -> Y [1]\nY -> Y [1]\n")
 
     def test_control_state_rejected(self):
         with pytest.raises(ModelSyntaxError):

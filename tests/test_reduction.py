@@ -132,8 +132,8 @@ class TestCompile:
     def test_alphabet_size(self, p1_artifact):
         # 6 specials + 9 pair + 9 checked + n*(m+1) cursors
         n, m = p1_artifact.n, p1_artifact.m
-        assert len(p1_artifact.gamma) == 24 + n * (m + 1)
-        assert len(p1_artifact.gamma) == 30
+        assert len(p1_artifact.bpa.alphabet) == 24 + n * (m + 1)
+        assert len(p1_artifact.bpa.alphabet) == 30
 
     def test_model_validates(self, p1_artifact):
         from ppda.pushdown import validate_model
@@ -153,7 +153,7 @@ class TestCompile:
         assert "(ap X(_,B))" in text
 
     def test_every_symbol_is_a_proposition(self, p1_artifact):
-        assert p1_artifact.assignment.propositions() == p1_artifact.gamma
+        assert p1_artifact.assignment.propositions() == p1_artifact.bpa.alphabet
 
 
 class TestDyadicEncoding:
@@ -384,7 +384,7 @@ class TestVariants:
 
     def test_collapsed_check_drops_intermediate_symbol(self, p1):
         artifact = compile_instance(p1, Variant.parse("cf-simple"))
-        assert "N" not in artifact.gamma
+        assert "N" not in artifact.bpa.alphabet
         rules = artifact.bpa.rules_by_head["C"]
         assert sorted(r.body for r in rules) == [("F",), ("S",)]
 
@@ -394,7 +394,7 @@ class TestVariants:
 
     def test_chained_checkpoint_symbols(self, p1):
         artifact = compile_instance(p1, Variant.parse("n-chain 2"))
-        assert {"N1", "N2", "N"} <= set(artifact.gamma)
+        assert {"N1", "N2", "N"} <= set(artifact.bpa.alphabet)
         assert artifact.bpa.rules_by_head["C"][0].body == ("N1",)
         assert artifact.bpa.rules_by_head["N1"][0].body == ("N2",)
         assert artifact.bpa.rules_by_head["N2"][0].body == ("N",)
@@ -408,10 +408,6 @@ class TestVariants:
             want = certify(p1, word)
             assert got.formula_holds == want.formula_holds
             assert got.t == want.t
-
-    def test_variant_formulas_exposed(self, p1_artifact):
-        assert set(p1_artifact.variant_formulas) == {"default", "n-chain", "cf-simple"}
-        assert p1_artifact.variant_formulas["default"] == p1_artifact.top_formula
 
 
 class TestTopFormula:
