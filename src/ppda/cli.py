@@ -27,8 +27,8 @@ _INPUT_ERRORS = (PpdaInputError, OSError)
 
 # The most index words `search` and `solve` enumerate, counting every word
 # up to --max-k (n + n^2 + ... + n^K for n pairs). A certification session
-# holds about 7 KB per word on a 3-pair instance of pad length 3, so a
-# reduction search at the limit needs about 0.7 GB.
+# holds about 5 KB per word on a 3-pair instance of pad length 3, so a
+# reduction search at the limit needs about 0.5 GB.
 MAX_SEARCH_WORDS = 100_000
 
 # The largest `lemmas --sizes n,m,k`. Certification walks stacks of up to

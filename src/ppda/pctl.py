@@ -319,6 +319,8 @@ class _Scanner:
             value = Fraction(token)
         except ZeroDivisionError:
             raise self.error(f"zero denominator in bound {token!r}") from None
+        except ValueError:
+            raise self.error(f"bound of {len(token)} characters exceeds the interpreter's integer digit limit") from None
         if not 0 <= value <= 1:
             raise BoundRangeError(f"probability bound {token} outside [0,1]")
         return value
@@ -482,6 +484,11 @@ class Evaluator:
     only the states reachable from it through until-variables are
     classified and solved.
 
+    ``budget=None`` means no limit and builds no region: every walked state
+    that passes the operand tests and is not absorbing is a variable. Use it
+    only on chains whose until-walks are finite, such as the reduction's
+    popping chains; on any other chain a query does not return.
+
     Until results are memoized per formula pair: ``until_cache[(f1, f2)]``
     maps a state to its exact value as a bare ``Fraction``, for every
     state a query walked that resolved to a point, or to the open
@@ -489,13 +496,12 @@ class Evaluator:
     pair's table up once and then reads it by state.
     """
 
-    def __init__(self, gen: BpaChain, budget: Budget) -> None:
+    def __init__(self, gen: BpaChain, budget: Budget | None) -> None:
         self.gen = gen
         self.budget = budget
         self.universe = frozenset(gen.bpa.alphabet) | {None}
         self.head_sets: dict[StateFormula, frozenset | None] = {}
         self.state_cache: dict[tuple, ThreeValued] = {}
-        self.next_cache: dict[tuple, ProbInterval] = {}
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
         self.region_cache: dict[ChainState, Exploration] = {}
 
@@ -568,10 +574,6 @@ class Evaluator:
         return self.prob_until(state, path.left, path.right)
 
     def prob_next(self, state: ChainState, formula: StateFormula) -> ProbInterval:
-        key = (state, formula)
-        cached = self.next_cache.get(key)
-        if cached is not None:
-            return cached
         lo = ZERO
         false_mass = ZERO
         for target, prob in self.gen.successors(state):
@@ -580,9 +582,7 @@ class Evaluator:
                 lo += prob
             elif verdict is FALSE:
                 false_mass += prob
-        interval = ProbInterval(lo, ONE - false_mass)
-        self.next_cache[key] = interval
-        return interval
+        return ProbInterval(lo, ONE - false_mass)
 
     def prob_until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ProbInterval:
         table = self.until_cache.setdefault((f1, f2), {})
@@ -632,24 +632,17 @@ class Evaluator:
             table[state] = interval
         return interval
 
-    def _region(self, state: ChainState) -> Exploration:
-        region = self.region_cache.get(state)
-        if region is None:
-            region = Exploration(self.gen, state, self.budget)
-            self.region_cache[state] = region
-        return region
-
     def _until_sink(
-        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration, table: dict
+        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration | None, table: dict
     ) -> tuple[Fraction, Fraction] | None:
         """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
 
-        A variable is settled in ``region``, satisfies f1 and not f2, and is
-        not absorbing. A state already resolved to a point in this session,
-        a ``Fraction`` in ``table`` (the formula pair's memo), is an exact
-        sink. The one sink that is not a point is ``_OPEN_SINK``. f1 is
-        evaluated only where f2 is not True, and the region is advanced
-        only for a state that could be a variable.
+        A variable is settled in ``region``, if there is one, satisfies f1
+        and not f2, and is not absorbing. A state already resolved to a
+        point in this session, a ``Fraction`` in ``table`` (the formula
+        pair's memo), is an exact sink. The one sink that is not a point is
+        ``_OPEN_SINK``. f1 is evaluated only where f2 is not True, and the
+        region is advanced only for a state that could be a variable.
         """
         known = table.get(d)
         if isinstance(known, Fraction):
@@ -660,7 +653,7 @@ class Evaluator:
         left = self.eval_state(d, f1)
         if right is FALSE and left is FALSE:
             return _FALSE_SINK
-        if right is not FALSE or left is not TRUE or not region.is_settled(d):
+        if right is not FALSE or left is not TRUE or (region is not None and not region.is_settled(d)):
             return _OPEN_SINK
         if self.gen.successors(d) == [(d, ONE)]:
             # Absorbing state where f2 is definitively false: the run
@@ -671,12 +664,15 @@ class Evaluator:
     def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict):
         """Yield ``(d, sink)`` for each state reachable from ``state`` through variables.
 
-        Breadth-first from ``state`` over the until's region at ``state``;
-        ``sink`` is ``_until_sink`` of ``d``, classified when ``d`` is
-        reached, and only a variable's successors are walked. The least
-        fixed point at ``state`` depends only on the states yielded.
+        Breadth-first from ``state`` over the until's region at ``state``
+        (none without a budget); ``sink`` is ``_until_sink`` of ``d``,
+        classified when ``d`` is reached, and only a variable's successors
+        are walked. The least fixed point at ``state`` depends only on the
+        states yielded.
         """
-        region = self._region(state)
+        region = None if self.budget is None else self.region_cache.get(state)
+        if region is None and self.budget is not None:
+            region = self.region_cache[state] = Exploration(self.gen, state, self.budget)
         successors = self.gen.successors
         seen = {state}
         queue = deque([state])

@@ -72,11 +72,11 @@ def certification_biconditional(instance: reduction.PcpInstance, word) -> str | 
     branch states F and S are twice those at N and, when the erased words are
     nonempty, equal the dyadic encodings of the reversed words."""
     artifact = reduction.compile_instance(instance)
-    report = reduction.certify(instance, word, artifact=artifact)
+    session = Evaluator(artifact.chain, None)
+    report = reduction.certify(instance, word, artifact=artifact, session=session)
     if report.formula_holds != report.is_solution:
         return f"biconditional fails for {instance.pairs} word {word}"
     config = reduction.check_config(artifact, word)
-    session = Evaluator(artifact.chain, reduction.verification_budget(len(config.stack)))
     f_state = Configuration(("F",) + config.stack[1:]).encode()
     s_state = Configuration(("S",) + config.stack[1:]).encode()
     p1f = session.prob_until(f_state, artifact.phi1.left, artifact.phi1.right)

@@ -100,10 +100,14 @@ class Bpa:
 
 
 def validate_model(model: Bpa) -> list[ModelViolation]:
-    """Rule totality per head, probability sums, body lengths, and no ``~`` symbol."""
+    """Rule totality per head, probability sums, body lengths, and symbols the
+    configuration encoding carries: not ``~``, not empty, no whitespace."""
     out: list[ModelViolation] = []
     if EMPTY_MARK in model.alphabet:
         out.append(ModelViolation(EMPTY_MARK, "'~' is the empty stack and cannot be a stack symbol"))
+    for symbol in model.alphabet:
+        if symbol.split() != [symbol]:
+            out.append(ModelViolation(repr(symbol), "a stack symbol must be non-empty and hold no whitespace"))
     per_head: dict[str, Fraction] = {}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
@@ -111,7 +115,7 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         if len(rule.body) > 2:
             out.append(ModelViolation(subject, "body longer than 2 symbols"))
         if not 0 < rule.probability <= 1:
-            out.append(ModelViolation(subject, f"probability {rule.probability} outside (0,1]"))
+            out.append(ModelViolation(subject, f"probability {format_rational(rule.probability)} outside (0,1]"))
         key = (rule.head, rule.body)
         if key in seen:
             out.append(ModelViolation(subject, "duplicate rule"))
@@ -122,7 +126,7 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         if total is None:
             out.append(ModelViolation(symbol, "no rule for this symbol"))
         elif total != 1:
-            out.append(ModelViolation(symbol, f"rule probabilities sum to {total}, not 1"))
+            out.append(ModelViolation(symbol, f"rule probabilities sum to {format_rational(total)}, not 1"))
     return out
 
 

@@ -18,23 +18,39 @@ class RationalFormatError(PpdaInputError):
     """Raised when a rational token does not match ``int`` or ``int/posint``."""
 
 
+# An int/str conversion limit is 0 (none) or at least 640 digits
+# (sys.set_int_max_str_digits), so none refuses an int below 10**600.
+_PIECE_DIGITS = 600
+_PIECE = 10**_PIECE_DIGITS
+
+
 def parse_rational(text: str) -> Fraction:
     m = _RAT_RE.match(text.strip())
     if m is None:
         raise RationalFormatError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
+    try:
+        num, den = (int(part) for part in m.groups("1"))
+    except ValueError:  # the pattern admits digits only, so only the digit limit refuses them
+        raise RationalFormatError(
+            f"rational of {len(text.strip())} characters exceeds the interpreter's integer digit limit"
+        ) from None
     if den == 0:
         raise RationalFormatError(f"zero denominator: {text!r}")
     return Fraction(num, den)
 
 
+def _decimal(n: int) -> str:
+    pieces, rest = [], abs(n)
+    while rest >= _PIECE:
+        rest, piece = divmod(rest, _PIECE)
+        pieces.append(str(piece).zfill(_PIECE_DIGITS))
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(pieces))
+
+
 def format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """The exact text of ``value``, converted in pieces that no int/str digit limit refuses."""
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def require_fraction(value, what: str = "probability") -> Fraction:

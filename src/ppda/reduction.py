@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import pctl
-from .chain import Budget, ChainGenerator, FinitePath
+from .chain import ChainGenerator, FinitePath
 from .errors import PpdaInputError, read_text
 from .pctl import (
     And,
@@ -76,14 +76,6 @@ class TRangeError(PpdaInputError):
 
 class VariantFormatError(PpdaInputError):
     """A variant name that is not ``default``, ``cf-simple`` or ``n-chain K``."""
-
-
-class CertificationBudgetError(RuntimeError):
-    """The evaluation budget left a certification probability an open interval.
-
-    An internal fault, not an input error: ``verification_budget`` and
-    ``sweep_session`` size budgets so that popping chains always settle.
-    """
 
 
 def pair_symbol(x: str, y: str) -> str:
@@ -537,20 +529,16 @@ class CertifyReport:
         )
 
 
-def verification_budget(pair_count: int) -> Budget:
-    """Enough room to settle the whole popping chain of a guessed stack."""
-    return Budget(max_states=8 * pair_count + 64, max_depth=2 * pair_count + 16)
-
-
 def sweep_session(artifact: ReductionArtifact, max_k: int) -> pctl.Evaluator:
-    """A shared evaluation session sized for every guess up to length max_k.
+    """A shared evaluation session without a budget, for every guess of any length.
 
     Pass it to ``certify`` for each word of one instance: sweeps over all
     words and ``oracle.search_via_reduction`` both certify through one
     session, whose memoized until-points let each word reuse the popping
-    chains of the words already certified.
+    chains of the words already certified. ``max_k`` is unused; it stays
+    for the callers that pass it.
     """
-    return pctl.Evaluator(artifact.chain, verification_budget(max_k * artifact.m + 2))
+    return pctl.Evaluator(artifact.chain, None)
 
 
 def check_config(artifact: ReductionArtifact, word) -> Configuration:
@@ -569,34 +557,28 @@ def certify(
     """Exact certification of one guess against the until-formulas.
 
     Evaluates both until-probabilities at the post-checkpoint configuration
-    on the induced chain (the popping chain terminates, so the intervals
-    are points), sets t to twice the phi1 value, and reports whether the
-    pair of equalities characterizing a solution holds. ``is_solution`` is
-    recomputed independently from the words themselves.
+    on the induced chain, sets t to twice the phi1 value, and reports
+    whether the pair of equalities characterizing a solution holds.
+    ``is_solution`` is recomputed independently from the words themselves.
+    The checking phase only pops the guessed stack, and the operands of
+    phi1/phi2 are propositional, so a session without a budget gives both
+    values exactly.
 
     A caller sweeping many words of one instance may pass a shared
-    ``session`` (its budget must cover the longest guess); popping chains
-    of different words share suffixes, so the session cache cuts most of
-    the work. A session whose budget is too small for the guess raises
-    ``CertificationBudgetError``.
+    ``session``, the artifact's ``sweep_session``; popping chains of
+    different words share suffixes, so the session cache cuts most of the
+    work.
     """
     if artifact is None:
         artifact = compile_instance(instance, variant)
     word = _check_indices(instance, word)
-    config = check_config(artifact, word)
     if session is None:
-        session = pctl.Evaluator(artifact.chain, verification_budget(len(config.stack)))
-    elif session.gen is not artifact.chain:
-        raise ValueError("session was built for a different artifact")
-    state = config.encode()
-    iv1 = session.prob_until(state, artifact.phi1.left, artifact.phi1.right)
-    iv2 = session.prob_until(state, artifact.phi2.left, artifact.phi2.right)
-    if not (iv1.is_point and iv2.is_point):
-        raise CertificationBudgetError(
-            f"verification chain did not settle within {session.budget}: "
-            f"phi1 in {iv1}, phi2 in {iv2}"
-        )
-    p1, p2 = iv1.lo, iv2.lo
+        session = pctl.Evaluator(artifact.chain, None)
+    elif session.gen is not artifact.chain or session.budget is not None:
+        raise ValueError("a session must be this artifact's sweep_session, without a budget")
+    state = check_config(artifact, word).encode()
+    p1 = session.prob_until(state, artifact.phi1.left, artifact.phi1.right).lo
+    p2 = session.prob_until(state, artifact.phi2.left, artifact.phi2.right).lo
     t = 2 * p1
     holds = p1 == t / 2 and p2 == (1 - t) / 2
     return CertifyReport(

@@ -1,6 +1,8 @@
 """Shared fixtures and independent label predicates used across test modules."""
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -32,6 +34,16 @@ def phi2_left(labels) -> bool:
 
 def phi2_right(labels) -> bool:
     return any(f"X({z},B)" in labels for z in SIGMA)
+
+
+@pytest.fixture
+def digit_limit():
+    """The interpreter's int/str conversion limit, held at its default of
+    4,300 digits for one test and restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(saved)
 
 
 @pytest.fixture(scope="session")

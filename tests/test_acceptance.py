@@ -150,7 +150,6 @@ def test_criterion_6_oracle_equivalence():
         head = rng.choice(["N", "F", "S"])
         stack = [head] + [rng.choice(pair_symbols) for _ in range(rng.randint(1, 8))] + ["Z'"]
         state = " ".join(stack)
-        budget = reduction.verification_budget(len(stack))
         for left, right, phi in (
             (conftest.phi1_left, conftest.phi1_right, artifact.phi1),
             (conftest.phi2_left, conftest.phi2_right, artifact.phi2),
@@ -162,7 +161,7 @@ def test_criterion_6_oracle_equivalence():
                 lambda s: right(gen.labels(s)),
                 max_depth=4 * len(stack) + 8,
             )
-            interval = Evaluator(gen, budget).prob_until(state, phi.left, phi.right)
+            interval = Evaluator(gen, None).prob_until(state, phi.left, phi.right)
             if not (interval.is_point and interval.lo == expected):
                 ok = False
         if not ok:

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from ppda import cli, oracle, pctl, properties, pushdown, reduction
-from ppda.chain import Budget, InvalidPathError
+from ppda.chain import InvalidPathError
 from ppda.cli import main
 from ppda.errors import InputEncodingError, PpdaInputError
 from ppda.pushdown import parse_model, validate_model
@@ -30,6 +30,11 @@ def compiled(tmp_path, p1_file) -> Path:
     assert main(["compile", "--instance", p1_file, "--out", str(out)]) == 0
     return out
 
+
+# 10^4400 and 10^4400 - 1 as text: 4,401 and 4,400 digits, over the
+# interpreter's default int/str limit of 4,300.
+_HUGE = "1" + "0" * 4400
+_HUGE_LESS_ONE = "9" * 4400
 
 class TestCompile:
     def test_writes_expected_files(self, compiled):
@@ -89,13 +94,6 @@ class TestCertify:
         first = capsys.readouterr().out
         main(["certify", "--instance", p1_file, "--word", "1,2"])
         assert capsys.readouterr().out == first
-
-    def test_unsettled_certification_is_not_a_usage_error(self, p1_file, monkeypatch):
-        # A budget too small to settle the popping chain is an internal
-        # fault: it must escape main, not become exit 2.
-        monkeypatch.setattr(reduction, "verification_budget", lambda pair_count: Budget(2, 2))
-        with pytest.raises(reduction.CertificationBudgetError):
-            main(["certify", "--instance", p1_file, "--word", "1,2"])
 
 
 class TestSearch:
@@ -327,6 +325,49 @@ class TestEval:
         with pytest.raises(ValueError, match="invalid interval") as info:
             main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
         assert not isinstance(info.value, PpdaInputError)
+
+    @pytest.mark.parametrize("model_text, formula_text, flags", [
+        (f"X -> ~ [1/{_HUGE}]\nX -> X [{_HUGE_LESS_ONE}/{_HUGE}]\n", "(P> 0 (X true))", []),
+        ("X -> ~ [1]\n", f"(P> 1/{_HUGE} (X true))", []),
+        ("X -> ~ [1]\n", "(P= ?t/2 (X true))", ["--t", f"1/{_HUGE}"]),
+    ], ids=["rule-probability", "formula-bound", "t"])
+    def test_numeral_over_the_digit_limit_refused(self, tmp_path, capsys, digit_limit,
+                                                  model_text, formula_text, flags):
+        model = tmp_path / "m.bpa"
+        model.write_text(model_text)
+        formula = tmp_path / "f.pctl"
+        formula.write_text(formula_text)
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "integer digit limit" in captured.err
+
+    def test_invalid_model_message_past_the_digit_limit(self, tmp_path, capsys, digit_limit):
+        # 1/D + 1/(D+1) with D = 10^2200 has a 4,401-digit denominator.
+        d, d_plus_one = "1" + "0" * 2200, "1" + "0" * 2199 + "1"
+        model = tmp_path / "m.bpa"
+        model.write_text(f"X -> ~ [1/{d}]\nX -> X [1/{d_plus_one}]\n")
+        formula = tmp_path / "next.pctl"
+        formula.write_text("(P> 0 (X true))")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid model: X: rule probabilities sum to 2{'0' * 2199}1/1{'0' * 2199}1{'0' * 2200}, not 1\n"
+
+    def test_interval_past_the_digit_limit_printed_exactly(self, tmp_path, capsys, digit_limit):
+        # D = 10^2200 parses, and the value 1/D^2 has a 4,401-digit denominator.
+        d, d_less_one = "1" + "0" * 2200, "9" * 2200
+        model = tmp_path / "m.bpa"
+        model.write_text(f"X -> Y [1/{d}]\nX -> ~ [{d_less_one}/{d}]\n"
+                         f"Y -> W [1/{d}]\nY -> ~ [{d_less_one}/{d}]\nW -> W [1]\n")
+        formula = tmp_path / "reach.pctl"
+        formula.write_text("(P> 0 (U true (ap W)))")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
+        assert code == 0
+        point = "1/1" + "0" * 4400
+        assert capsys.readouterr().out == f"verdict=True\ninterval=[{point}, {point}]\n"
 
     def test_zero_denominator_bound_refused(self, tmp_path, capsys):
         model = tmp_path / "m.bpa"

@@ -74,14 +74,13 @@ class TestEnumeration:
             head = rng.choice(["N", "F", "S"])
             stack = [head] + [rng.choice(symbols) for _ in range(rng.randint(1, 6))] + ["Z'"]
             state = " ".join(stack)
-            budget = reduction.verification_budget(len(stack))
             for left, right, phi in (
                 (conftest.phi1_left, conftest.phi1_right, p1_artifact.phi1),
                 (conftest.phi2_left, conftest.phi2_right, p1_artifact.phi2),
             ):
                 f1, f2 = _predicates(gen, left, right)
                 expected = enumerate_until_probability(gen, state, f1, f2, 4 * len(stack) + 8)
-                interval = pctl.Evaluator(gen, budget).prob_until(state, phi.left, phi.right)
+                interval = pctl.Evaluator(gen, None).prob_until(state, phi.left, phi.right)
                 assert interval.is_point and interval.lo == expected
 
 

@@ -94,6 +94,11 @@ class TestParsing:
         with pytest.raises(BoundRangeError):
             parse_formula("(P> 3/2 (X true))")
 
+    @pytest.mark.parametrize("bound", ["1/" + "7" * 4401, "0" * 4401], ids=["denominator", "zeros"])
+    def test_bound_over_the_digit_limit_refused(self, digit_limit, bound):
+        with pytest.raises(FormulaSyntaxError, match="integer digit limit"):
+            parse_formula(f"(P> {bound} (X true))")
+
     def test_path_formula_parses(self):
         assert parse_path_formula("(U true (ap C))") == Until(TRUE_FORMULA, Atom("C"))
 

@@ -65,6 +65,15 @@ class TestValidateModel:
         problems = validate_model(Bpa.make(rules))
         assert any(p.subject == "~" and "empty stack" in p.reason for p in problems)
 
+    @pytest.mark.parametrize("symbol", ["X Y", "", "X\tY", " X", "X\n"])
+    def test_symbol_the_encoding_cannot_carry_flagged(self, symbol):
+        # The encoding joins symbols with spaces and splits on whitespace, so
+        # a stack holding such a symbol would read back as other symbols.
+        model = Bpa.make([BpaRule(symbol, (), ONE), BpaRule("X", ("X",), ONE), BpaRule("Y", ("Y",), ONE)])
+        problems = validate_model(model)
+        assert [p.subject for p in problems] == [repr(symbol)]
+        assert "non-empty and hold no whitespace" in problems[0].reason
+
 
 class TestStep:
     def test_pop_rule(self):
@@ -156,6 +165,13 @@ class TestInducedChain:
         bad = Bpa.make([BpaRule("X", ("X",), H)])
         with pytest.raises(InvalidModelError, match="invalid model: X: rule probabilities sum to 1/2"):
             induced_chain(bad, SimpleAssignment.identity(bad.alphabet), Configuration(("X",)))
+
+    def test_symbol_with_whitespace_rejected(self):
+        # Before validation flagged it, the stack ("X Y",) stepped by the
+        # rule of X instead of popping.
+        model = Bpa.make([BpaRule("X Y", (), ONE), BpaRule("X", ("X",), ONE), BpaRule("Y", ("Y",), ONE)])
+        with pytest.raises(InvalidModelError, match="'X Y': a stack symbol must be non-empty"):
+            induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X Y",)))
 
     def test_unknown_start_symbol_rejected(self):
         model = parse_model("X -> ~ [1]\n")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,27 @@ def test_format_drops_unit_denominator():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(RationalFormatError):
         parse_rational(bad)
+
+
+@pytest.mark.parametrize("text", ["1" * 4301, "1/" + "3" * 4301, "-" + "2" * 4301 + "/7"],
+                         ids=["integer", "denominator", "numerator"])
+def test_parse_refuses_numerals_over_the_digit_limit(digit_limit, text):
+    with pytest.raises(RationalFormatError, match="integer digit limit"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("value", [
+    Fraction(10**9000 + 7, 3**7000),
+    Fraction(-1, 10**4400),
+    Fraction(-(10**600)),
+    Fraction(10**600 - 1, 10**600 + 1),
+])
+def test_format_is_exact_past_the_digit_limit(digit_limit, value):
+    text = format_rational(value)
+    assert sys.get_int_max_str_digits() == digit_limit
+    sys.set_int_max_str_digits(0)
+    assert text == str(value)
+    assert parse_rational(text) == value
 
 
 @given(st.integers(), st.integers(min_value=1, max_value=10**6))

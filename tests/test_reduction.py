@@ -9,7 +9,6 @@ from ppda import oracle, pctl, reduction
 from ppda.chain import Budget, explore, path_probability
 from ppda.pctl import Atom, Comparison, Next, Prob, serialize_formula
 from ppda.reduction import (
-    CertificationBudgetError,
     DegenerateInstanceError,
     DomainError,
     IndexRangeError,
@@ -278,33 +277,23 @@ class TestCertify:
         assert "p_phi1_at_N=3/32" in text
         assert "formula_holds=true" in text
 
-    def test_too_small_session_is_an_internal_fault(self, p1, p1_artifact):
-        session = pctl.Evaluator(p1_artifact.chain, Budget(2, 2))
-        with pytest.raises(CertificationBudgetError, match="did not settle") as info:
-            certify(p1, (1, 2), artifact=p1_artifact, session=session)
-        # Not an input error: the CLI reports PpdaInputErrors, which are
-        # ValueErrors, as usage errors.
-        assert not isinstance(info.value, ValueError)
-
     def test_halving(self, p1, p1_artifact):
         report = certify(p1, (1, 2), artifact=p1_artifact)
         config = reduction.check_config(p1_artifact, (1, 2))
-        budget = reduction.verification_budget(len(config.stack))
         for head, phi, at_n in (
             ("F", p1_artifact.phi1, report.p_phi1_at_N),
             ("S", p1_artifact.phi2, report.p_phi2_at_N),
         ):
             state = reduction.Configuration((head,) + config.stack[1:]).encode()
-            iv = pctl.Evaluator(p1_artifact.chain, budget).prob_until(state, phi.left, phi.right)
+            iv = pctl.Evaluator(p1_artifact.chain, None).prob_until(state, phi.left, phi.right)
             assert iv.is_point and iv.lo == 2 * at_n
 
     def test_equality_formula_true_at_check_state(self, p1, p1_artifact):
         state = reduction.check_config(p1_artifact, (1, 2)).encode()
-        budget = reduction.verification_budget(10)
         formula = Prob(Comparison.EQ, F(3, 32), p1_artifact.phi1)
-        assert pctl.Evaluator(p1_artifact.chain, budget).eval_state(state, formula) is pctl.TRUE
+        assert pctl.Evaluator(p1_artifact.chain, None).eval_state(state, formula) is pctl.TRUE
         off = Prob(Comparison.EQ, F(1, 8), p1_artifact.phi1)
-        assert pctl.Evaluator(p1_artifact.chain, budget).eval_state(state, off) is pctl.FALSE
+        assert pctl.Evaluator(p1_artifact.chain, None).eval_state(state, off) is pctl.FALSE
 
     def test_checkpoint_next_step_is_certain(self, p1, p1_artifact):
         # the checkpoint rewrites deterministically, so the instantiated
@@ -314,9 +303,34 @@ class TestCertify:
             reduction._inner_conjunction(p1_artifact.phi1, p1_artifact.phi2), report.t
         )
         state = guess_config(p1, (1, 2)).encode()
-        budget = reduction.verification_budget(10)
-        interval = pctl.Evaluator(p1_artifact.chain, budget).prob_next(state, inner)
+        interval = pctl.Evaluator(p1_artifact.chain, None).prob_next(state, inner)
         assert interval == pctl.ProbInterval(F(1), F(1))
+
+    def test_unbudgeted_session_certifies_a_long_word(self, p1, p1_artifact):
+        # Twenty indices put 40 letter pairs on the stack; one session with
+        # no budget settles the popping chain exactly and builds no region.
+        word = (1, 2) * 10
+        session = pctl.Evaluator(p1_artifact.chain, None)
+        report = certify(p1, word, artifact=p1_artifact, session=session)
+        assert report.is_solution and report.formula_holds
+        config = reduction.check_config(p1_artifact, word)
+        u = "".join(p1.pairs[j - 1][0] for j in word)
+        v = "".join(p1.pairs[j - 1][1] for j in word)
+        for head, phi, at_n, value in (
+            ("F", p1_artifact.phi1, report.p_phi1_at_N, rho(u[::-1] + "Z'")),
+            ("S", p1_artifact.phi2, report.p_phi2_at_N, rho_bar(v[::-1] + "Z'")),
+        ):
+            state = reduction.Configuration((head,) + config.stack[1:]).encode()
+            iv = session.prob_until(state, phi.left, phi.right)
+            assert iv == pctl.ProbInterval(value, value) and value == 2 * at_n
+        assert session.region_cache == {}
+
+    @pytest.mark.parametrize("budget", [None, Budget(2, 2)])
+    def test_session_must_be_the_artifacts_unbudgeted_one(self, p1, p1_artifact, budget):
+        # A budget could leave the values open intervals; certify reads points.
+        chain = p1_artifact.chain if budget else compile_instance(p1).chain
+        with pytest.raises(ValueError, match="sweep_session, without a budget"):
+            certify(p1, (1, 2), artifact=p1_artifact, session=pctl.Evaluator(chain, budget))
 
     def test_unsolvable_top_formula_unknown_at_any_budget(self, unsolvable):
         artifact = compile_instance(unsolvable)
@@ -329,10 +343,9 @@ class TestCertify:
         # popping the guessed stack realizes the dyadic weights of the
         # reversed erased words
         config = reduction.check_config(p1_artifact, (1, 2))
-        budget = reduction.verification_budget(len(config.stack))
         f_state = reduction.Configuration(("F",) + config.stack[1:]).encode()
         s_state = reduction.Configuration(("S",) + config.stack[1:]).encode()
-        session = pctl.Evaluator(p1_artifact.chain, budget)
+        session = pctl.Evaluator(p1_artifact.chain, None)
         iv1 = session.prob_until(f_state, p1_artifact.phi1.left, p1_artifact.phi1.right)
         iv2 = session.prob_until(s_state, p1_artifact.phi2.left, p1_artifact.phi2.right)
         assert iv1 == pctl.ProbInterval(F(3, 16), F(3, 16))
