@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .errors import PpdaInputError
-from .rationals import require_fraction
+from .rationals import format_rational, require_fraction
 
 ChainState = str
 
@@ -108,10 +108,10 @@ def validate_distribution(gen: ChainGenerator, state: ChainState) -> list[Violat
             out.append(Violation(state, f"duplicate successor {target!r}"))
         seen.add(target)
         if not 0 < prob <= 1:
-            out.append(Violation(state, f"probability {prob} to {target!r} outside (0,1]"))
+            out.append(Violation(state, f"probability {format_rational(prob)} to {target!r} outside (0,1]"))
         total += prob
     if total != 1:
-        out.append(Violation(state, f"successor probabilities sum to {total}, not 1"))
+        out.append(Violation(state, f"successor probabilities sum to {format_rational(total)}, not 1"))
     return out
 
 

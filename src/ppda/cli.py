@@ -132,9 +132,9 @@ def _cmd_eval(args) -> int:
     interval = None
     if isinstance(formula, pctl.Prob):
         interval = evaluator.prob_path(state, formula.path)
-        verdict = pctl.compare(interval, formula.comparison, formula.bound)
-    else:
-        verdict = evaluator.eval_state(state, formula)
+    # The verdict can be sharper than the interval: a bound-0 until over
+    # propositional operands is decided exactly at any budget.
+    verdict = evaluator.eval_state(state, formula)
     print(f"verdict={verdict}")
     if interval is not None:
         print(f"interval={interval}")

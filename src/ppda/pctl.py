@@ -1,10 +1,12 @@
-"""PCTL formulas and a sound bounded evaluator over the Markov chains of pBPAs.
+"""PCTL formulas and a sound evaluator over the Markov chains of pBPAs.
 
 State formulas: true, atomic proposition, negation, conjunction, and
 probability bounds P>r / P=r over the path operators X (next) and U
 (until). Evaluation is three-valued: True and False are only reported when
-the bounded exploration justifies them for the exact semantics, otherwise
-Unknown. Probabilities of path formulas are returned as exact rational
+they hold in the exact semantics, otherwise Unknown. Whether an until with
+propositional operands has positive probability is decided exactly, from
+per-symbol Boolean summaries; the rest is decided from a bounded
+exploration. Probabilities of path formulas are returned as exact rational
 intervals that are guaranteed to contain the true value and that nest as
 the budget grows.
 """
@@ -20,7 +22,7 @@ from typing import Callable, Union
 
 from .chain import Budget, ChainState, Exploration
 from .errors import PpdaInputError
-from .pushdown import BpaChain
+from .pushdown import BpaChain, UnknownSymbolError
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -170,7 +172,7 @@ class Prob:
 
     def __post_init__(self) -> None:
         if isinstance(self.bound, Fraction) and not 0 <= self.bound <= 1:
-            raise BoundRangeError(f"probability bound {self.bound} outside [0,1]")
+            raise BoundRangeError(f"probability bound {format_rational(self.bound)} outside [0,1]")
 
     def __hash__(self) -> int:
         return _memo_hash(self, ("P", self.comparison, self.bound, self.path))
@@ -479,6 +481,13 @@ class Evaluator:
     an earlier query is a sink of later ones, so it can tighten them. A
     session may be reused across formulas and query states.
 
+    An until whose operands both compile to head sets has positive
+    probability at a state exactly when its per-symbol summaries say so
+    (``_positive``), whatever the budget. So ``P>0`` and ``P=0`` over it
+    are always True or False, and ``prob_until`` returns the point 0 at a
+    state where it is zero without walking. ``support[(f1, f2)]`` maps each
+    stack symbol solved so far to its pair of summaries.
+
     Until-queries are demand-driven: each query state's breadth-first
     region is advanced only as far as the states the query walks to, and
     only the states reachable from it through until-variables are
@@ -503,6 +512,7 @@ class Evaluator:
         self.head_sets: dict[StateFormula, frozenset | None] = {}
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
+        self.support: dict[tuple, dict[str, tuple[bool, bool]]] = {}
         self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
@@ -518,6 +528,13 @@ class Evaluator:
         value = self._eval_state(state, formula)
         self.state_cache[key] = value
         return value
+
+    def _heads(self, formula: StateFormula) -> frozenset | None:
+        """The head set of ``formula``, or None if it holds a probability operator."""
+        heads = self.head_sets.get(formula)
+        if heads is None and formula not in self.head_sets:
+            heads = self._compile(formula)
+        return heads
 
     def _compile(self, formula: StateFormula) -> frozenset | None:
         """Fill ``head_sets`` for ``formula`` and its subformulas, children first, from an
@@ -589,6 +606,9 @@ class Evaluator:
         known = table.get(state)
         if known is not None:
             return known if isinstance(known, ProbInterval) else ProbInterval(known, known)
+        if self._positive(state, f1, f2) is False:
+            table[state] = ZERO
+            return ProbInterval(ZERO, ZERO)
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
         # reaches become the unknowns of a linear system.
@@ -686,16 +706,50 @@ class Evaluator:
                         seen.add(target)
                         queue.append(target)
 
-    def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
-        """Decide ``P>0 (f1 U f2)`` at ``state`` by reachability, without solving.
+    def _positive(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> bool | None:
+        """Whether ``P(f1 U f2) > 0`` at ``state``, exactly; None unless both operands
+        compile to head sets.
 
-        In the least fixed point that ``prob_until`` solves, a state's lower
-        bound is positive exactly when a sink with a positive lower bound is
-        reachable through variables, and likewise for the upper bound
-        (Baier and Katoen, Principles of Model Checking, 2008, 10.3). So the
-        same walk gives the verdict ``compare`` gives on the solved
-        interval, and it stops at the first sink with a positive lower bound.
+        For a stack symbol X, ``a_X > 0`` says that the run of X can satisfy
+        the until before X is popped, and ``t_X > 0`` that X can be popped
+        with f1 holding throughout and f2 never. A stack X1...Xn has
+        positive probability iff some Xi has ``a > 0`` and every symbol above
+        it has ``t > 0``, or every symbol has ``t > 0`` and f2 holds on the
+        empty stack. The fold stops at the first symbol that settles it; at
+        its first unsolved symbol, it solves the stack's unsolved symbols.
         """
+        h1, h2 = self._heads(f1), self._heads(f2)
+        if h1 is None or h2 is None:
+            return None
+        table = self.support.setdefault((f1, f2), {})
+        stack = BpaChain.stack(state)
+        for symbol in stack:
+            summary = table.get(symbol)
+            if summary is None:
+                _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack)
+                summary = table[symbol]
+            reaches, passes = summary
+            if reaches:
+                return True
+            if not passes:
+                return False
+        return None in h2
+
+    def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
+        """Decide ``P>0 (f1 U f2)`` at ``state`` without solving.
+
+        With propositional operands the per-symbol summaries decide it
+        exactly. Otherwise it is decided by reachability: in the least fixed
+        point that ``prob_until`` solves, a state's lower bound is positive
+        exactly when a sink with a positive lower bound is reachable through
+        variables, and likewise for the upper bound (Baier and Katoen,
+        Principles of Model Checking, 2008, 10.3). So the same walk gives the
+        verdict ``compare`` gives on the solved interval, and it stops at the
+        first sink with a positive lower bound.
+        """
+        positive = self._positive(state, f1, f2)
+        if positive is not None:
+            return TRUE if positive else FALSE
         maybe = False
         table = self.until_cache.setdefault((f1, f2), {})
         for _, sink in self._walk(state, f1, f2, table):
@@ -706,6 +760,78 @@ class Evaluator:
             if sink[1] > 0:
                 maybe = True
         return UNKNOWN if maybe else FALSE
+
+
+def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: list[str]) -> None:
+    """Extend ``table``, symbol -> (a > 0, t > 0) for one until, to the unsolved
+    ``roots`` and the unsolved symbols they reach.
+
+    These are the Boolean least solution of the summary equations
+    (Esparza, Kucera and Mayr, LICS 2004): a symbol in H_f2 has ``a``; one
+    in H_f1 and not in H_f2 gets ``t`` from a rule ``X -> ~``, both from
+    ``X -> Y`` if Y has them, ``a`` from ``X -> Y W`` if Y has ``a`` or Y has
+    ``t`` and W has ``a``, and ``t`` from it if both have ``t``; nothing
+    else holds. Only the rules of such symbols are read, and each becomes
+    Horn clauses whose premises are facts ``(0, Y)`` (``a_Y``) and
+    ``(1, Y)`` (``t_Y``). A clause waits on its premises among the new
+    symbols, and each fact derived is propagated once, after every clause
+    is built, so the cost is linear in the rules read. Symbols already in
+    ``table`` are final, because every solve closes over the symbols its
+    rules reach.
+    """
+    new = {x for x in roots if x not in table}
+    derived: set[tuple[int, str]] = set()
+    fired: list[tuple[int, str]] = []
+    waiting: dict[tuple[int, str], list[list]] = {}
+
+    def clause(fact: tuple[int, str], *premises: tuple[int, str]) -> None:
+        open_premises = []
+        for kind, y in premises:
+            if y in new:
+                open_premises.append((kind, y))
+            elif not table[y][kind]:
+                return
+        if open_premises:
+            entry = [len(open_premises), fact]
+            for premise in open_premises:
+                waiting.setdefault(premise, []).append(entry)
+        elif fact not in derived:
+            derived.add(fact)
+            fired.append(fact)
+
+    pending = list(new)
+    while pending:
+        x = pending.pop()
+        if x in h2:
+            clause((0, x))
+        elif x in h1:
+            rules = rules_by_head.get(x)
+            if rules is None:
+                raise UnknownSymbolError(x)
+            for rule in rules:
+                for y in rule.body:
+                    if y not in new and y not in table:
+                        new.add(y)
+                        pending.append(y)
+                if not rule.body:
+                    clause((1, x))
+                elif len(rule.body) == 1:
+                    y, = rule.body
+                    clause((0, x), (0, y))
+                    clause((1, x), (1, y))
+                else:
+                    y, w = rule.body
+                    clause((0, x), (0, y))
+                    clause((0, x), (1, y), (0, w))
+                    clause((1, x), (1, y), (1, w))
+    while fired:
+        for entry in waiting.pop(fired.pop(), ()):
+            entry[0] -= 1
+            if entry[0] == 0 and entry[1] not in derived:
+                derived.add(entry[1])
+                fired.append(entry[1])
+    for x in new:
+        table[x] = ((0, x) in derived, (1, x) in derived)
 
 
 def _least_fixed_point(

@@ -55,6 +55,16 @@ class TestValidateDistribution:
         with pytest.raises(TypeError):
             gen.successors("a")
 
+    def test_messages_past_the_digit_limit_are_exact(self, digit_limit):
+        # 1 + 10^-4400 has a 4,401-digit numerator, which str() refuses.
+        over = Fraction(10**4400 + 1, 10**4400)
+        gen = gen_from({"a": [("b", over)]})
+        text = "1" + "0" * 4399 + "1/1" + "0" * 4400
+        assert [p.reason for p in validate_distribution(gen, "a")] == [
+            f"probability {text} to 'b' outside (0,1]",
+            f"successor probabilities sum to {text}, not 1",
+        ]
+
 
 class TestPathProbability:
     def test_single_state_is_one(self):

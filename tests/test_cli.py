@@ -356,6 +356,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"error: invalid model: X: rule probabilities sum to 2{'0' * 2199}1/1{'0' * 2199}1{'0' * 2200}, not 1\n"
 
+    def test_bound_zero_verdict_is_exact_where_the_interval_is_not(self, tmp_path, capsys):
+        # The budget cuts the walk before G, so the interval stays [0, 1];
+        # the verdict of a top-level P>0 is the one eval_state gives.
+        model = tmp_path / "line.bpa"
+        model.write_text("A -> B [1]\nB -> C [1]\nC -> D [1]\nD -> G [1]\nG -> G [1]\n")
+        formula = tmp_path / "reach.pctl"
+        formula.write_text("(P> 0 (U true (ap G)))")
+        code = main(["eval", "--model", str(model), "--config", "A", "--formula", str(formula),
+                     "--max-states", "2", "--max-depth", "2"])
+        assert code == 0
+        assert capsys.readouterr().out == "verdict=True\ninterval=[0, 1]\n"
+
     def test_interval_past_the_digit_limit_printed_exactly(self, tmp_path, capsys, digit_limit):
         # D = 10^2200 parses, and the value 1/D^2 has a 4,401-digit denominator.
         d, d_less_one = "1" + "0" * 2200, "9" * 2200

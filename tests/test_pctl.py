@@ -29,6 +29,7 @@ from ppda.pctl import (
     Until,
     _least_fixed_point,
     compare,
+    kleene_not,
     parse_formula,
     parse_path_formula,
     serialize_formula,
@@ -98,6 +99,10 @@ class TestParsing:
     def test_bound_over_the_digit_limit_refused(self, digit_limit, bound):
         with pytest.raises(FormulaSyntaxError, match="integer digit limit"):
             parse_formula(f"(P> {bound} (X true))")
+
+    def test_constructed_bound_past_the_digit_limit_refused(self, digit_limit):
+        with pytest.raises(BoundRangeError, match=r"^probability bound 10{4399}1/10{4400} outside"):
+            Prob(Comparison.GT, Fraction(10**4400 + 1, 10**4400), Next(TRUE_FORMULA))
 
     def test_path_formula_parses(self):
         assert parse_path_formula("(U true (ap C))") == Until(TRUE_FORMULA, Atom("C"))
@@ -205,8 +210,11 @@ class TestProbNext:
         assert Evaluator(gen, BUDGET).prob_next("a", Atom("p")) == ProbInterval(H, H)
 
     def test_unknown_successor_widens(self):
-        # c's verdict needs more depth than the budget allows, so the
-        # interval keeps the unresolved mass; a larger budget collapses it.
+        # A probability operator in the left operand keeps the inner until on
+        # the bounded walk. c's verdict needs more depth than the budget
+        # allows, so the interval keeps the unresolved mass; a larger budget
+        # collapses it. With a propositional left operand the inner verdict
+        # is exact at any budget.
         chain = {
             "a": [("b", H), ("c", H)],
             "b": [("b", Fraction(1))],
@@ -215,10 +223,13 @@ class TestProbNext:
             "e": [("e", Fraction(1))],
         }
         gen = gen_from(chain, {"e": frozenset({"q"})})
-        inner = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("q")))
+        always = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
+        inner = Prob(Comparison.GT, Fraction(0), Until(always, Atom("q")))
         interval = Evaluator(gen, Budget(1, 1)).prob_next("a", inner)
         assert interval.lo == Fraction(0) and interval.hi == H
         assert Evaluator(gen, Budget(50, 50)).prob_next("a", inner) == ProbInterval(H, H)
+        propositional = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("q")))
+        assert Evaluator(gen, Budget(1, 1)).prob_next("a", propositional) == ProbInterval(H, H)
 
 
 class TestProbUntil:
@@ -389,11 +400,12 @@ class TestHeadSets:
         expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", Not(Atom("Z")), Atom("Z"))
         session = Evaluator(gen, Budget(100, 1000))
         assert session.prob_until("X", Not(Atom("Z")), Atom("Z")) == expected
-        assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is UNKNOWN
+        assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
 
 
 class TestQualitativeUntil:
-    """Bound-0 untils are decided by reachability; the verdicts must match the solve."""
+    """Bound-0 untils over propositional operands are decided exactly; the
+    verdicts must agree with the solve wherever the solved interval decides."""
 
     @settings(max_examples=300)
     @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
@@ -405,7 +417,10 @@ class TestQualitativeUntil:
         for comparison in Comparison:
             formula = Prob(comparison, Fraction(0), Until(f1, f2))
             verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
-            assert verdict is compare(interval, comparison, Fraction(0))
+            assert verdict is not UNKNOWN
+            solved = compare(interval, comparison, Fraction(0))
+            if solved is not UNKNOWN:
+                assert verdict is solved
 
     def test_top_formula_stops_at_the_witness(self, p1, p1_artifact):
         from ppda import reduction
@@ -458,6 +473,104 @@ def _full_region_until(gen: BpaChain, budget: Budget, f1, f2) -> ProbInterval:
     return ProbInterval(lo, hi)
 
 
+def _support_verdict(gen: BpaChain, f1, f2):
+    """``P>0 (f1 U f2)`` at the start, from a session whose budget decides nothing."""
+    formula = Prob(Comparison.GT, Fraction(0), Until(f1, f2))
+    return Evaluator(gen, Budget(1, 1)).eval_state(gen.initial, formula)
+
+
+def _kleene_support(model: Bpa, h1: frozenset, h2: frozenset) -> dict:
+    """The Boolean summaries of every symbol by Kleene iteration over the whole
+    alphabet: symbol -> (run can satisfy the until before the pop, pop possible)."""
+    table = {x: (False, False) for x in model.alphabet}
+    while True:
+        step = {}
+        for x in model.alphabet:
+            reach, passes = x in h2, False
+            if x in h1 and x not in h2:
+                for rule in model.rules_by_head[x]:
+                    if not rule.body:
+                        passes = True
+                    elif len(rule.body) == 1:
+                        ay, ty = table[rule.body[0]]
+                        reach, passes = reach or ay, passes or ty
+                    else:
+                        (ay, ty), (aw, tw) = table[rule.body[0]], table[rule.body[1]]
+                        reach = reach or ay or (ty and aw)
+                        passes = passes or (ty and tw)
+            step[x] = (reach, passes)
+        if step == table:
+            return table
+        table = step
+
+
+_REFERENCE_BUDGETS = (Budget(40, 8), Budget(300, 20), Budget(3000, 60))
+
+
+class TestUntilSupport:
+    """``P>0`` over propositional operands is decided from per-symbol Boolean
+    summaries; the full-region solve is the independent reference."""
+
+    @settings(max_examples=300)
+    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), max_size=3),
+           _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
+    def test_matches_bounded_reference(self, model, stack, f1, f2, max_states, max_depth):
+        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        session = Evaluator(gen, Budget(max_states, max_depth))
+        until = Until(f1, f2)
+        verdict = session.eval_state(gen.initial, Prob(Comparison.GT, Fraction(0), until))
+        assert session.eval_state(gen.initial, Prob(Comparison.EQ, Fraction(0), until)) is kleene_not(verdict)
+        if verdict is FALSE:
+            for budget in (Budget(max_states, max_depth), Budget(300, 20)):
+                assert _full_region_until(gen, budget, f1, f2).lo == 0
+        else:
+            # Intervals nest as the budget grows, so a positive lower bound at
+            # any of these budgets is one at the largest.
+            assert verdict is TRUE
+            assert any(_full_region_until(gen, budget, f1, f2).lo > 0 for budget in _REFERENCE_BUDGETS)
+        reference = _kleene_support(model, session.head_sets[f1], session.head_sets[f2])
+        solved = session.support[(f1, f2)]
+        assert solved == {x: reference[x] for x in solved}
+
+    @settings(max_examples=200)
+    @given(_small_bpas(), st.permutations(_SYMBOLS), _propositional(), _propositional())
+    def test_incremental_solves_match_kleene(self, model, order, f1, f2):
+        # One query per symbol, so later solves build on the summaries of
+        # earlier ones, which are final.
+        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(()))
+        session = Evaluator(gen, Budget(1, 1))
+        for x in order:
+            session.prob_until(x, f1, f2)
+        reference = _kleene_support(model, session.head_sets[f1], session.head_sets[f2])
+        assert session.support[(f1, f2)] == reference
+
+    def test_cyclic_query_is_zero_at_any_budget(self):
+        session = Evaluator(_cyclic_chain(), Budget(1, 1))
+        assert session.prob_until("X", Not(Atom("Z")), Atom("Z")) == ProbInterval(Fraction(0), Fraction(0))
+        assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
+        assert session.eval_state("X", parse_formula("(P= 0 (U (not (ap Z)) (ap Z)))")) is TRUE
+        assert session.region_cache == {}
+        assert session.support[(Not(Atom("Z")), Atom("Z"))] == {"X": (False, True), "Y": (False, True)}
+
+    def test_empty_stack_decides_when_every_symbol_pops(self):
+        # Every symbol of the cyclic model can be popped under true, so
+        # reaching the empty stack is positive, and f2 = false never is.
+        session = Evaluator(_cyclic_chain(), Budget(1, 1))
+        reach_empty = parse_path_formula(REACH_EMPTY)
+        never = Not(TRUE_FORMULA)
+        assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), reach_empty)) is TRUE
+        assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, never))) is FALSE
+
+    def test_certification_never_solves_guessing_symbols(self, p1, p1_artifact):
+        from ppda import reduction
+
+        session = reduction.sweep_session(p1_artifact, 2)
+        for word in ((1,), (2,), (1, 2), (2, 1, 1)):
+            reduction.certify(p1, word, artifact=p1_artifact, session=session)
+        solved = set().union(*session.support.values())
+        assert solved and not any(x.startswith("G(") or x == "Z" for x in solved)
+
+
 class TestDemandDrivenUntil:
     """Until-queries walk and explore only what they reach; the values must not change."""
 
@@ -465,10 +578,16 @@ class TestDemandDrivenUntil:
     @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_full_region_solve(self, model, stack, f1, f2, max_states, max_depth):
+        # Where the until's support is zero, the query returns the point 0
+        # without walking, and the full-region solve cannot bound it away from 0.
         gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
         interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
-        assert interval == _full_region_until(gen, budget, f1, f2)
+        reference = _full_region_until(gen, budget, f1, f2)
+        if _support_verdict(gen, f1, f2) is TRUE:
+            assert interval == reference
+        else:
+            assert interval == ProbInterval(Fraction(0), Fraction(0)) and reference.lo == 0
 
     @settings(max_examples=200)
     @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
@@ -526,7 +645,8 @@ class TestSessionUntilTables:
 
 
 # A cyclic model: X and Y call each other, so the until
-# variables form cycles; the query's true value is 0 at X.
+# variables form cycles. CYCLIC_QUERY's true value is 0 at X, because Z is
+# unreachable; reaching the empty stack has probability exactly 1.
 CYCLIC_MODEL = """\
 X -> X Y [1/2]
 X -> ~ [1/2]
@@ -536,6 +656,7 @@ Y -> ~ [1/4]
 Z -> ~ [1]
 """
 CYCLIC_QUERY = "(P> 0 (U (not (ap Z)) (ap Z)))"
+REACH_EMPTY = "(U true (and (not (ap X)) (and (not (ap Y)) (not (ap Z)))))"
 
 
 def _cyclic_chain() -> BpaChain:
@@ -579,23 +700,34 @@ class TestCyclicSolve:
             assert value[s] == sum(p * value[t] for t, p in table[s])
 
     def test_cyclic_model_intervals_nest(self):
+        # The value is 1 and the system is critical, so the lower bounds
+        # rise with the budget (0.980, 0.990, 0.995) and never reach it.
         gen = _cyclic_chain()
-        left, right = Not(Atom("Z")), Atom("Z")
-        intervals = [Evaluator(gen, Budget(n, 1000)).prob_until("X", left, right)
-                     for n in (100, 200, 400, 800)]
+        until = parse_path_formula(REACH_EMPTY)
+        intervals = [Evaluator(gen, Budget(n, 1000)).prob_until("X", until.left, until.right)
+                     for n in (100, 200, 400)]
         for wider, tighter in zip(intervals, intervals[1:]):
-            assert wider.lo <= tighter.lo <= tighter.hi <= wider.hi
-        assert all(interval.lo == 0 for interval in intervals)
-        assert intervals[-1].hi < intervals[0].hi
+            assert wider.lo < tighter.lo <= tighter.hi <= wider.hi
+        assert all(interval.hi == 1 for interval in intervals)
 
     def test_eval_prints_the_solved_interval(self, tmp_path, capsys):
+        model = tmp_path / "cyclic.bpa"
+        model.write_text(CYCLIC_MODEL)
+        query = tmp_path / "query.pctl"
+        query.write_text(f"(P> 0 {REACH_EMPTY})")
+        code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(query),
+                     "--max-states", "200", "--max-depth", "1000"])
+        until = parse_path_formula(REACH_EMPTY)
+        expected = Evaluator(_cyclic_chain(), Budget(200, 1000)).prob_until("X", until.left, until.right)
+        assert code == 0 and expected.lo > 0
+        assert capsys.readouterr().out == f"verdict=True\ninterval={expected}\n"
+
+    def test_eval_decides_the_zero_query(self, tmp_path, capsys):
         model = tmp_path / "cyclic.bpa"
         model.write_text(CYCLIC_MODEL)
         query = tmp_path / "query.pctl"
         query.write_text(CYCLIC_QUERY)
         code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(query),
                      "--max-states", "200", "--max-depth", "1000"])
-        expected = Evaluator(_cyclic_chain(), Budget(200, 1000)).prob_until(
-            "X", Not(Atom("Z")), Atom("Z"))
         assert code == 1
-        assert capsys.readouterr().out == f"verdict=Unknown\ninterval={expected}\n"
+        assert capsys.readouterr().out == "verdict=False\ninterval=[0, 0]\n"
