@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 from .chain import Budget, ChainState, Exploration
 from .errors import PpdaInputError
-from .pushdown import BpaChain, UnknownSymbolError
+from .pushdown import BpaChain, Configuration, UnknownSymbolError
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -484,8 +484,9 @@ class Evaluator:
     An until whose operands both compile to head sets has positive
     probability at a state exactly when its per-symbol summaries say so
     (``_positive``), whatever the budget. So ``P>0`` and ``P=0`` over it
-    are always True or False, and ``prob_until`` returns the point 0 at a
-    state where it is zero without walking. ``support[(f1, f2)]`` maps each
+    are always True or False, and in a budgeted session ``prob_until``
+    returns the point 0 at a state where it is zero without walking (an
+    unbudgeted walk is exact anyway). ``support[(f1, f2)]`` maps each
     stack symbol solved so far to its pair of summaries.
 
     Until-queries are demand-driven: each query state's breadth-first
@@ -516,6 +517,8 @@ class Evaluator:
         self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
+        # The hot path: the memo read is inlined, as a call to _compile on
+        # every hit costs about 3% of a nested-operator evaluation.
         heads = self.head_sets.get(formula)
         if heads is None and formula not in self.head_sets:
             heads = self._compile(formula)
@@ -529,17 +532,15 @@ class Evaluator:
         self.state_cache[key] = value
         return value
 
-    def _heads(self, formula: StateFormula) -> frozenset | None:
-        """The head set of ``formula``, or None if it holds a probability operator."""
-        heads = self.head_sets.get(formula)
-        if heads is None and formula not in self.head_sets:
-            heads = self._compile(formula)
-        return heads
-
     def _compile(self, formula: StateFormula) -> frozenset | None:
-        """Fill ``head_sets`` for ``formula`` and its subformulas, children first, from an
-        explicit stack; a ``Prob`` is not entered, and it and all above it map to None."""
+        """The head set of ``formula``, or None if it holds a probability operator.
+
+        On first use, fills ``head_sets`` for ``formula`` and its subformulas,
+        children first, from an explicit stack; a ``Prob`` is not entered, and
+        it and all above it map to None."""
         sets, named = self.head_sets, self.gen.assignment.heads
+        if formula in sets:
+            return sets[formula]
         pending = [formula]
         while pending:
             f = pending[-1]
@@ -606,7 +607,9 @@ class Evaluator:
         known = table.get(state)
         if known is not None:
             return known if isinstance(known, ProbInterval) else ProbInterval(known, known)
-        if self._positive(state, f1, f2) is False:
+        # Without a budget the walk is already exact, so only a budgeted
+        # session needs the summaries to settle a zero.
+        if self.budget is not None and self._positive(state, f1, f2) is False:
             table[state] = ZERO
             return ProbInterval(ZERO, ZERO)
 
@@ -718,11 +721,11 @@ class Evaluator:
         empty stack. The fold stops at the first symbol that settles it; at
         its first unsolved symbol, it solves the stack's unsolved symbols.
         """
-        h1, h2 = self._heads(f1), self._heads(f2)
+        h1, h2 = self._compile(f1), self._compile(f2)
         if h1 is None or h2 is None:
             return None
         table = self.support.setdefault((f1, f2), {})
-        stack = BpaChain.stack(state)
+        stack = Configuration.parse(state).stack
         for symbol in stack:
             summary = table.get(symbol)
             if summary is None:
@@ -762,7 +765,7 @@ class Evaluator:
         return UNKNOWN if maybe else FALSE
 
 
-def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: list[str]) -> None:
+def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...]) -> None:
     """Extend ``table``, symbol -> (a > 0, t > 0) for one until, to the unsolved
     ``roots`` and the unsolved symbols they reach.
 

@@ -188,11 +188,6 @@ class BpaChain(ChainGenerator):
         top = state.partition(" ")[0]
         return None if top == EMPTY_MARK else top
 
-    @staticmethod
-    def stack(state: str) -> list[str]:
-        """The stack symbols of an encoded configuration, top first."""
-        return [] if state == EMPTY_MARK else state.split(" ")
-
 
 def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> BpaChain:
     """The Markov chain over configurations, labeled by the assignment.

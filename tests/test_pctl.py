@@ -382,7 +382,9 @@ class TestHeadSets:
         # and the session's caches, alive until a full collection.
         gen = _cyclic_chain()
         session = Evaluator(gen, Budget(100, 1000))
-        session.prob_until("X", Not(Atom("Z")), Atom("Z"))
+        until = parse_path_formula(REACH_EMPTY)
+        assert session.prob_until("X", until.left, until.right).lo > 0
+        assert session.region_cache and gen._succ_cache
         refs = [weakref.ref(gen), weakref.ref(session)]
         gc.disable()
         try:
@@ -397,9 +399,11 @@ class TestHeadSets:
 
         gen = _cyclic_chain()
         gen.labels = refuse
-        expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", Not(Atom("Z")), Atom("Z"))
+        until = parse_path_formula(REACH_EMPTY)
+        expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", until.left, until.right)
         session = Evaluator(gen, Budget(100, 1000))
-        assert session.prob_until("X", Not(Atom("Z")), Atom("Z")) == expected
+        assert session.prob_until("X", until.left, until.right) == expected
+        assert expected.lo > 0 and session.region_cache
         assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
 
 
@@ -561,12 +565,19 @@ class TestUntilSupport:
         assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), reach_empty)) is TRUE
         assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, never))) is FALSE
 
-    def test_certification_never_solves_guessing_symbols(self, p1, p1_artifact):
+    def test_check_configurations_never_solve_guessing_symbols(self, p1, p1_artifact):
         from ppda import reduction
 
-        session = reduction.sweep_session(p1_artifact, 2)
+        # An unbudgeted walk is exact, so certification reads no summaries;
+        # a budgeted session solves them only for the popping phase.
+        sweep = reduction.sweep_session(p1_artifact, 2)
+        session = Evaluator(p1_artifact.chain, Budget(50, 20))
         for word in ((1,), (2,), (1, 2), (2, 1, 1)):
-            reduction.certify(p1, word, artifact=p1_artifact, session=session)
+            reduction.certify(p1, word, artifact=p1_artifact, session=sweep)
+            state = reduction.check_config(p1_artifact, word).encode()
+            for phi in (p1_artifact.phi1, p1_artifact.phi2):
+                assert session.eval_state(state, Prob(Comparison.GT, Fraction(0), phi)) is TRUE
+        assert sweep.support == {}
         solved = set().union(*session.support.values())
         assert solved and not any(x.startswith("G(") or x == "Z" for x in solved)
 
