@@ -38,7 +38,6 @@ from .pushdown import (
     Bpa,
     BpaRule,
     Configuration,
-    SimpleAssignment,
     induced_chain,
     parse_model,
     serialize_model,

@@ -16,7 +16,7 @@ from . import oracle, pctl, properties, reduction
 from .chain import Budget
 from .errors import PpdaInputError, read_text
 from .pctl import has_placeholder, parse_formula, serialize_formula
-from .pushdown import Configuration, SimpleAssignment, induced_chain, parse_model, serialize_model
+from .pushdown import Configuration, induced_chain, parse_model, serialize_model
 from .rationals import parse_rational
 
 OK = 0
@@ -125,8 +125,7 @@ def _cmd_eval(args) -> int:
     elif args.t is not None:
         raise PpdaInputError("formula has no ?t placeholder, but --t was given")
     config = Configuration.parse(args.config)
-    assignment = SimpleAssignment.identity(model.alphabet)
-    gen = induced_chain(model, assignment, config)
+    gen = induced_chain(model, config)
     evaluator = pctl.Evaluator(gen, Budget(args.max_states, args.max_depth))
     state = config.encode()
     interval = None

@@ -99,83 +99,76 @@ def kleene_and(a: ThreeValued, b: ThreeValued) -> ThreeValued:
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
-#
-# Formula nodes are evaluation cache keys, so each node memoizes its hash;
-# the generated recursive hash would otherwise rewalk the subtree on every
-# lookup.
 
 
-def _memo_hash(node, parts: tuple) -> int:
-    cached = node.__dict__.get("_hash")
-    if cached is None:
-        cached = hash(parts)
-        object.__setattr__(node, "_hash", cached)
-    return cached
+class _Node:
+    """Formula nodes are evaluation cache keys, so each one hashes once, when
+    it is built, from its type and fields; a field's hash is already stored,
+    so no hash walks a subtree. Each dataclass sets ``__hash__`` to
+    ``_Node.__hash__``, since a frozen dataclass would otherwise generate its
+    own."""
 
+    def __post_init__(self) -> None:
+        # Run by the generated __init__, when __dict__ holds just the fields.
+        object.__setattr__(self, "_hash", hash((type(self).__name__, *vars(self).values())))
 
-@dataclass(frozen=True)
-class TrueFormula:
     def __hash__(self) -> int:
-        return 5381
+        return self._hash
 
 
 @dataclass(frozen=True)
-class Atom:
+class TrueFormula(_Node):
+    __hash__ = _Node.__hash__
+
+
+@dataclass(frozen=True)
+class Atom(_Node):
+    """Holds exactly when the head of the stack is the stack symbol ``name``."""
+
     name: str
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("ap", self.name))
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     operand: "StateFormula"
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("not", self.operand))
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "StateFormula"
     right: "StateFormula"
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("and", self.left, self.right))
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Next:
+class Next(_Node):
     operand: "StateFormula"
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("X", self.operand))
+    __hash__ = _Node.__hash__
 
 
 @dataclass(frozen=True)
-class Until:
+class Until(_Node):
     left: "StateFormula"
     right: "StateFormula"
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("U", self.left, self.right))
+    __hash__ = _Node.__hash__
 
 
 PathFormula = Union[Next, Until]
 
 
 @dataclass(frozen=True)
-class Prob:
+class Prob(_Node):
     comparison: Comparison
     bound: Bound
     path: PathFormula
+    __hash__ = _Node.__hash__
 
     def __post_init__(self) -> None:
         if isinstance(self.bound, Fraction) and not 0 <= self.bound <= 1:
             raise BoundRangeError(f"probability bound {format_rational(self.bound)} outside [0,1]")
-
-    def __hash__(self) -> int:
-        return _memo_hash(self, ("P", self.comparison, self.bound, self.path))
+        super().__post_init__()
 
 
 StateFormula = Union[TrueFormula, Atom, Not, And, Prob]
@@ -246,7 +239,7 @@ _KEYWORD_RE = re.compile(r"[A-Za-z>=]+")
 _BOUND_RE = re.compile(r"\?t/2|\?\(1-t\)/2|-?\d+(?:/\d+)?")
 
 
-# Deepest operator nesting the parser accepts. Parsing, serializing, hashing,
+# Deepest operator nesting the parser accepts. Parsing, serializing,
 # replace_bounds and the evaluator's descent through probability operators
 # recurse on nesting (propositional operands compile without recursion), so
 # deeper input would exhaust the stack; the reduction's formulas stay below 20.
@@ -471,8 +464,12 @@ _OPEN_SINK = (ZERO, ONE)
 class Evaluator:
     """One evaluation session: a pBPA chain, a budget, and session caches.
 
-    A formula without a probability operator is compiled once per session
-    to ``head_sets[formula]``, the stack heads where it holds (None for the
+    Every stack symbol is its own proposition: ``(ap X)`` holds exactly
+    where the head is X, and an atom naming no symbol holds nowhere. A
+    head-based labelling, p holding at the heads in H, is written as the
+    disjunction of ``(ap X)`` over X in H. So a formula without a
+    probability operator is compiled once per session to
+    ``head_sets[formula]``, the stack heads where it holds (None for the
     empty stack), and holds at a state exactly when ``gen.head`` is in it.
 
     Every verdict is sound and every interval contains the true value, and
@@ -538,7 +535,7 @@ class Evaluator:
         On first use, fills ``head_sets`` for ``formula`` and its subformulas,
         children first, from an explicit stack; a ``Prob`` is not entered, and
         it and all above it map to None."""
-        sets, named = self.head_sets, self.gen.assignment.heads
+        sets = self.head_sets
         if formula in sets:
             return sets[formula]
         pending = [formula]
@@ -558,7 +555,7 @@ class Evaluator:
             elif isinstance(f, And):
                 sets[f] = compiled[0] & compiled[1]
             elif isinstance(f, Atom):
-                sets[f] = named.get(f.name, frozenset())
+                sets[f] = self.universe & {f.name}
             else:
                 sets[f] = self.universe if isinstance(f, TrueFormula) else None
         return sets[formula]

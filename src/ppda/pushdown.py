@@ -7,15 +7,19 @@ configuration with an empty stack is dead: it gets a probability-1
 self-loop and satisfies no atomic proposition, which keeps the transition
 relation total.
 
-Atomic propositions are interpreted by a ``SimpleAssignment``: a
-proposition holds exactly when the head of the stack is in its set.
+This module is the one place that knows how a configuration is encoded as
+a chain state: its symbols joined by single spaces, top first, or ``~``
+for the empty stack. ``step`` rewrites that string directly.
+
+Every stack symbol is its own atomic proposition: ``(ap X)`` holds exactly
+when the head of the stack is X. A head-based labelling, where p holds at
+the heads in a set H, is the disjunction of ``(ap X)`` over X in H.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from .chain import ChainGenerator
 from .errors import PpdaInputError
@@ -83,8 +87,8 @@ class Bpa:
     rules: tuple[BpaRule, ...]
 
     @staticmethod
-    def make(rules: list[BpaRule], alphabet: set[str] | None = None) -> "Bpa":
-        symbols = set(alphabet or set())
+    def make(rules: list[BpaRule]) -> "Bpa":
+        symbols: set[str] = set()
         for rule in rules:
             symbols.add(rule.head)
             symbols.update(rule.body)
@@ -130,57 +134,34 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
     return out
 
 
-def step(model: Bpa, config: Configuration) -> list[tuple[Configuration, Fraction]]:
-    """All one-step successors of ``config`` with their probabilities.
+def step(model: Bpa, state: str) -> list[tuple[str, Fraction]]:
+    """All one-step successors of the encoded configuration ``state`` with
+    their probabilities, sorted by successor.
 
-    The empty-stack configuration yields the single self-loop with
-    probability 1. The result is sorted by encoded successor.
+    The empty stack ``~`` yields its probability-1 self-loop. Raises
+    ``UnknownSymbolError`` if the head has no rule.
     """
-    if not config.stack:
-        return [(config, ONE)]
-    head, rest = config.stack[0], config.stack[1:]
+    head, _, rest = state.partition(" ")
+    if head == EMPTY_MARK:
+        return [(state, ONE)]
     rules = model.rules_by_head.get(head)
     if rules is None:
         raise UnknownSymbolError(head)
-    successors = [(Configuration(rule.body + rest), rule.probability) for rule in rules]
-    successors.sort(key=lambda cp: cp[0].encode())
+    tail = (rest,) if rest else ()
+    successors = [(" ".join(rule.body + tail) or EMPTY_MARK, rule.probability) for rule in rules]
+    successors.sort()
     return successors
 
 
-# ---------------------------------------------------------------------------
-# Assignments
-
-
-@dataclass(frozen=True)
-class SimpleAssignment:
-    """Propositions that hold exactly when the configuration head is in a set."""
-
-    heads: Mapping[str, frozenset[str]]
-
-    def propositions(self) -> tuple[str, ...]:
-        return tuple(sorted(self.heads))
-
-    @staticmethod
-    def identity(symbols) -> "SimpleAssignment":
-        """Each symbol is its own proposition."""
-        return SimpleAssignment({s: frozenset([s]) for s in symbols})
-
-
 class BpaChain(ChainGenerator):
-    """The Markov chain a pBPA induces over encoded configurations; labels derive from ``head``."""
+    """The Markov chain a pBPA induces over encoded configurations, labelled by
+    the head: a state's label set is its top symbol, or empty on the empty stack."""
 
-    def __init__(self, bpa: Bpa, assignment: SimpleAssignment, start: Configuration) -> None:
+    def __init__(self, bpa: Bpa, start: Configuration) -> None:
         self.bpa = bpa
-        self.assignment = assignment
-        by_head: dict[str, set[str]] = {}
-        for prop, heads in assignment.heads.items():
-            for head in heads:
-                by_head.setdefault(head, set()).add(prop)
-
-        # The closures hold no reference to the chain, so refcounting frees it.
-        def successors(state: str) -> list[tuple[str, Fraction]]:
-            return [(cfg.encode(), p) for cfg, p in step(bpa, Configuration.parse(state))]
-        super().__init__(start.encode(), successors, lambda state: by_head.get(BpaChain.head(state), ()))
+        # The closures hold no reference to the chain, so refcounting frees
+        # it; ``step`` is looked up at each call.
+        super().__init__(start.encode(), lambda state: step(bpa, state), lambda state: {BpaChain.head(state)} - {None})
 
     @staticmethod
     def head(state: str) -> str | None:
@@ -189,8 +170,8 @@ class BpaChain(ChainGenerator):
         return None if top == EMPTY_MARK else top
 
 
-def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration) -> BpaChain:
-    """The Markov chain over configurations, labeled by the assignment.
+def induced_chain(model: Bpa, start: Configuration) -> BpaChain:
+    """The Markov chain over configurations from ``start``, labelled by the head.
 
     Raises ``UnknownSymbolError`` if ``start`` holds a symbol outside the
     model's alphabet.
@@ -202,7 +183,7 @@ def induced_chain(model: Bpa, assignment: SimpleAssignment, start: Configuration
     for symbol in start.stack:
         if symbol not in known:
             raise UnknownSymbolError(symbol)
-    return BpaChain(model, assignment, start)
+    return BpaChain(model, start)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Mapping
 
 from . import pctl
-from .chain import ChainGenerator, FinitePath
+from .chain import FinitePath
 from .errors import PpdaInputError, read_text
 from .pctl import (
     And,
@@ -39,7 +39,7 @@ from .pctl import (
     conjunction,
     disjunction,
 )
-from .pushdown import Bpa, BpaRule, Configuration, SimpleAssignment, induced_chain
+from .pushdown import Bpa, BpaChain, BpaRule, Configuration, induced_chain
 from .rationals import format_rational
 
 PAD = "_"
@@ -359,7 +359,6 @@ class ReductionArtifact:
     padded: PaddedInstance
     variant: Variant
     bpa: Bpa
-    assignment: SimpleAssignment
     phi1: PathFormula
     phi2: PathFormula
     top_formula: StateFormula
@@ -378,8 +377,8 @@ class ReductionArtifact:
         return "C" if self.variant.kind is VariantKind.CF_SIMPLE else "N"
 
     @cached_property
-    def chain(self) -> ChainGenerator:
-        return induced_chain(self.bpa, self.assignment, Configuration(("Z",)))
+    def chain(self) -> BpaChain:
+        return induced_chain(self.bpa, Configuration(("Z",)))
 
 
 def compile_instance(instance: PcpInstance, variant: Variant = DEFAULT_VARIANT) -> ReductionArtifact:
@@ -431,14 +430,11 @@ def compile_instance(instance: PcpInstance, variant: Variant = DEFAULT_VARIANT) 
     rules.append(BpaRule("Z'", (checked_symbol("A", "B"),), HALF))
     rules.append(BpaRule("Z'", (checked_symbol("B", "A"),), HALF))
 
-    bpa = Bpa.make(rules)
-    assignment = SimpleAssignment.identity(bpa.alphabet)
     return ReductionArtifact(
         instance=instance,
         padded=padded,
         variant=variant,
-        bpa=bpa,
-        assignment=assignment,
+        bpa=Bpa.make(rules),
         phi1=PHI1,
         phi2=PHI2,
         top_formula=_TOP_FORMULAS[variant.kind],

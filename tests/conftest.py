@@ -2,16 +2,33 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from ppda import reduction
+from ppda.pushdown import Bpa, BpaRule
 
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
 
 SIGMA = ("A", "B", "_")
+SYMBOLS = ("W", "X", "Y")
+
+
+@st.composite
+def small_bpas(draw) -> Bpa:
+    """Random pBPAs over three symbols; Y always has the quadratic rule Y -> Y Y."""
+    bodies = st.lists(st.sampled_from(SYMBOLS), max_size=2).map(tuple)
+    rules = []
+    for head in SYMBOLS:
+        chosen = draw(st.lists(bodies, min_size=1, max_size=3, unique=True))
+        if head == "Y" and ("Y", "Y") not in chosen:
+            chosen.append(("Y", "Y"))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+        rules += [BpaRule(head, body, Fraction(w, sum(weights))) for body, w in zip(chosen, weights)]
+    return Bpa.make(rules)
 
 
 # Until-operand predicates over label sets, written directly against the

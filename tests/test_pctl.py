@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import SYMBOLS, small_bpas
 from ppda.chain import Budget, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
@@ -29,31 +30,27 @@ from ppda.pctl import (
     Until,
     _least_fixed_point,
     compare,
+    disjunction,
     kleene_not,
     parse_formula,
     parse_path_formula,
     serialize_formula,
 )
-from ppda.pushdown import Bpa, BpaChain, BpaRule, Configuration, SimpleAssignment, induced_chain, parse_model
+from ppda.pushdown import Bpa, BpaChain, BpaRule, Configuration, induced_chain, parse_model
 
 H = Fraction(1, 2)
 BUDGET = Budget(200, 50)
 
 
-def gen_from(table: dict, labels: dict, initial: str = "a") -> BpaChain:
+def gen_from(table: dict, initial: str = "a") -> BpaChain:
     """The chain of ``table`` as a pBPA: each state is a one-symbol stack with a
-    rule ``s -> t [p]`` per positive entry, a state without a row loops on
-    itself, and the labels become head sets."""
+    rule ``s -> t [p]`` per positive entry, and a state without a row loops on
+    itself. So ``(ap s)`` holds exactly at the state s."""
     rows = {initial: [(initial, Fraction(1))]}
     rows.update({t: [(t, Fraction(1))] for row in table.values() for t, _ in row})
     rows.update(table)
     rules = [BpaRule(s, (t,), p) for s, row in rows.items() for t, p in row if p]
-    heads: dict[str, set[str]] = {}
-    for state, props in labels.items():
-        for prop in props:
-            heads.setdefault(prop, set()).add(state)
-    assignment = SimpleAssignment({prop: frozenset(states) for prop, states in heads.items()})
-    return induced_chain(Bpa.make(rules), assignment, Configuration((initial,)))
+    return induced_chain(Bpa.make(rules), Configuration((initial,)))
 
 
 class TestParsing:
@@ -171,26 +168,37 @@ class TestCompare:
 
 class TestEvalState:
     def test_atom_label_lookup(self):
-        gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"C"})})
-        assert Evaluator(gen, BUDGET).eval_state("a", Atom("C")) is TRUE
+        # An atom holds where it is the head; one naming no symbol holds nowhere.
+        gen = gen_from({"a": [("a", Fraction(1))]})
+        assert Evaluator(gen, BUDGET).eval_state("a", Atom("a")) is TRUE
         assert Evaluator(gen, BUDGET).eval_state("a", Atom("F")) is FALSE
 
     def test_double_negation(self):
-        gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"C"})})
-        for f in (Atom("C"), Atom("F"), And(Atom("C"), Not(Atom("F")))):
+        gen = gen_from({"a": [("a", Fraction(1))]})
+        for f in (Atom("a"), Atom("F"), And(Atom("a"), Not(Atom("F")))):
             doubled = Evaluator(gen, BUDGET).eval_state("a", Not(Not(f)))
             assert doubled is Evaluator(gen, BUDGET).eval_state("a", f)
 
     def test_and_commutative(self):
         table = {"a": [("b", H), ("c", H)], "b": [("b", Fraction(1))], "c": [("c", Fraction(1))]}
-        gen = gen_from(table, {"b": frozenset({"goal"})})
-        left = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("goal")))
-        right = Atom("goal")
+        gen = gen_from(table)
+        left = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("b")))
+        right = Atom("b")
         forward = Evaluator(gen, BUDGET).eval_state("a", And(left, right))
         assert forward is Evaluator(gen, BUDGET).eval_state("a", And(right, left))
 
+    def test_deep_negation_chain_built_in_code(self):
+        # Each node hashes once, when it is built, and propositional formulas
+        # compile from an explicit stack, so depth costs no recursion.
+        formula = Atom("a")
+        for _ in range(100_000):
+            formula = Not(formula)
+        gen = gen_from({"a": [("a", Fraction(1))]})
+        assert Evaluator(gen, BUDGET).eval_state("a", formula) is TRUE
+        assert Evaluator(gen, BUDGET).eval_state("a", Not(formula)) is FALSE
+
     def test_placeholder_rejected(self):
-        gen = gen_from({"a": [("a", Fraction(1))]}, {})
+        gen = gen_from({"a": [("a", Fraction(1))]})
         formula = Prob(Comparison.EQ, BoundPlaceholder.T_HALF, Next(TRUE_FORMULA))
         with pytest.raises(PlaceholderError):
             Evaluator(gen, BUDGET).eval_state("a", formula)
@@ -198,16 +206,14 @@ class TestEvalState:
 
 class TestProbNext:
     def test_all_successors_satisfy(self):
-        gen = gen_from(
-            {"a": [("b", H), ("c", H)]},
-            {"b": frozenset({"p"}), "c": frozenset({"p"})},
-        )
-        interval = Evaluator(gen, BUDGET).prob_next("a", Atom("p"))
+        # p holds at the heads b and c: a head-based label is a disjunction of atoms.
+        gen = gen_from({"a": [("b", H), ("c", H)]})
+        interval = Evaluator(gen, BUDGET).prob_next("a", disjunction([Atom("b"), Atom("c")]))
         assert interval == ProbInterval(Fraction(1), Fraction(1))
 
     def test_equiprobable_split(self):
-        gen = gen_from({"a": [("b", H), ("c", H)]}, {"b": frozenset({"p"})})
-        assert Evaluator(gen, BUDGET).prob_next("a", Atom("p")) == ProbInterval(H, H)
+        gen = gen_from({"a": [("b", H), ("c", H)]})
+        assert Evaluator(gen, BUDGET).prob_next("a", Atom("b")) == ProbInterval(H, H)
 
     def test_unknown_successor_widens(self):
         # A probability operator in the left operand keeps the inner until on
@@ -222,33 +228,33 @@ class TestProbNext:
             "d": [("e", Fraction(1))],
             "e": [("e", Fraction(1))],
         }
-        gen = gen_from(chain, {"e": frozenset({"q"})})
+        gen = gen_from(chain)
         always = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
-        inner = Prob(Comparison.GT, Fraction(0), Until(always, Atom("q")))
+        inner = Prob(Comparison.GT, Fraction(0), Until(always, Atom("e")))
         interval = Evaluator(gen, Budget(1, 1)).prob_next("a", inner)
         assert interval.lo == Fraction(0) and interval.hi == H
         assert Evaluator(gen, Budget(50, 50)).prob_next("a", inner) == ProbInterval(H, H)
-        propositional = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("q")))
+        propositional = Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, Atom("e")))
         assert Evaluator(gen, Budget(1, 1)).prob_next("a", propositional) == ProbInterval(H, H)
 
 
 class TestProbUntil:
     def test_goal_at_start(self):
-        gen = gen_from({"a": [("a", Fraction(1))]}, {"a": frozenset({"p"})})
-        assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("p")) == ProbInterval(
+        gen = gen_from({"a": [("a", Fraction(1))]})
+        assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("a")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
 
     def test_dead_self_loop_is_exact_zero(self):
-        gen = gen_from({"a": [("a", Fraction(1))]}, {})
+        gen = gen_from({"a": [("a", Fraction(1))]})
         assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("p")) == ProbInterval(
             Fraction(0), Fraction(0)
         )
 
     def test_escape_from_self_loop_solves_exactly(self):
         table = {"x": [("x", H), ("y", H)], "y": [("y", Fraction(1))]}
-        gen = gen_from(table, {"y": frozenset({"goal"})}, initial="x")
-        assert Evaluator(gen, BUDGET).prob_until("x", TRUE_FORMULA, Atom("goal")) == ProbInterval(
+        gen = gen_from(table, initial="x")
+        assert Evaluator(gen, BUDGET).prob_until("x", TRUE_FORMULA, Atom("y")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
 
@@ -258,7 +264,7 @@ class TestProbUntil:
             "b": [("a", H), ("goal", H)],
             "goal": [("goal", Fraction(1))],
         }
-        gen = gen_from(table, {"goal": frozenset({"goal"})})
+        gen = gen_from(table)
         assert Evaluator(gen, BUDGET).prob_until("a", TRUE_FORMULA, Atom("goal")) == ProbInterval(
             Fraction(1), Fraction(1)
         )
@@ -269,20 +275,19 @@ class TestProbUntil:
             "bad": [("goal", Fraction(1))],
             "goal": [("goal", Fraction(1))],
         }
-        gen = gen_from(table, {"goal": frozenset({"goal"})})
+        gen = gen_from(table)
         interval = Evaluator(gen, BUDGET).prob_until("a", Not(Atom("blocked")), Atom("goal"))
         assert interval == ProbInterval(Fraction(1), Fraction(1))
-        gen2 = gen_from(table, {"goal": frozenset({"goal"}), "bad": frozenset({"blocked"})})
-        interval = Evaluator(gen2, BUDGET).prob_until("a", Not(Atom("blocked")), Atom("goal"))
+        interval = Evaluator(gen, BUDGET).prob_until("a", Not(Atom("bad")), Atom("goal"))
         assert interval == ProbInterval(H, H)
 
     def test_frontier_keeps_interval_open(self):
         table = {str(i): [(str(i + 1), Fraction(1))] for i in range(10)}
         table["10"] = [("10", Fraction(1))]
-        gen = gen_from(table, {"10": frozenset({"goal"})}, initial="0")
-        interval = Evaluator(gen, Budget(5, 5)).prob_until("0", TRUE_FORMULA, Atom("goal"))
+        gen = gen_from(table, initial="0")
+        interval = Evaluator(gen, Budget(5, 5)).prob_until("0", TRUE_FORMULA, Atom("10"))
         assert interval.lo == Fraction(0) and interval.hi == Fraction(1)
-        exact = Evaluator(gen, Budget(50, 50)).prob_until("0", TRUE_FORMULA, Atom("goal"))
+        exact = Evaluator(gen, Budget(50, 50)).prob_until("0", TRUE_FORMULA, Atom("10"))
         assert exact == ProbInterval(Fraction(1), Fraction(1))
 
 
@@ -318,25 +323,8 @@ class TestBudgetMonotonicity:
         assert seen_definite is TRUE
 
 
-_SYMBOLS = ("W", "X", "Y")
-
-
-@st.composite
-def _small_bpas(draw) -> Bpa:
-    """Random pBPAs over three symbols; Y always has the quadratic rule Y -> Y Y."""
-    bodies = st.lists(st.sampled_from(_SYMBOLS), max_size=2).map(tuple)
-    rules = []
-    for head in _SYMBOLS:
-        chosen = draw(st.lists(bodies, min_size=1, max_size=3, unique=True))
-        if head == "Y" and ("Y", "Y") not in chosen:
-            chosen.append(("Y", "Y"))
-        weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
-        rules += [BpaRule(head, body, Fraction(w, sum(weights))) for body, w in zip(chosen, weights)]
-    return Bpa.make(rules)
-
-
 def _propositional():
-    leaves = st.one_of(st.just(TRUE_FORMULA), st.builds(Atom, st.sampled_from(_SYMBOLS)))
+    leaves = st.one_of(st.just(TRUE_FORMULA), st.builds(Atom, st.sampled_from(SYMBOLS)))
     return st.recursive(leaves, lambda kids: st.one_of(st.builds(Not, kids), st.builds(And, kids, kids)),
                         max_leaves=4)
 
@@ -352,6 +340,18 @@ def _label_verdict(formula, labels: frozenset) -> bool:
     return True
 
 
+def _as_head_disjunctions(formula, heads: dict):
+    """``formula`` with each atom p replaced by the disjunction of the atoms of
+    the stack symbols in ``heads[p]`` (false where p has none)."""
+    if isinstance(formula, Atom):
+        return disjunction([Atom(x) for x in sorted(heads.get(formula.name, ()))])
+    if isinstance(formula, Not):
+        return Not(_as_head_disjunctions(formula.operand, heads))
+    if isinstance(formula, And):
+        return And(_as_head_disjunctions(formula.left, heads), _as_head_disjunctions(formula.right, heads))
+    return formula
+
+
 _PROPS = ("p", "q", "r")
 
 
@@ -359,18 +359,21 @@ class TestHeadSets:
     """Propositional operands are compiled to head sets; labels are not read."""
 
     @settings(max_examples=300)
-    @given(_small_bpas(),
-           st.dictionaries(st.sampled_from(_PROPS), st.frozensets(st.sampled_from(_SYMBOLS)), min_size=1),
+    @given(small_bpas(),
+           st.dictionaries(st.sampled_from(_PROPS), st.frozensets(st.sampled_from(SYMBOLS)), min_size=1),
            st.recursive(st.one_of(st.just(TRUE_FORMULA), st.builds(Atom, st.sampled_from(_PROPS + ("W",)))),
                         lambda kids: st.one_of(st.builds(Not, kids), st.builds(And, kids, kids)),
                         max_leaves=6),
-           st.lists(st.sampled_from(_SYMBOLS), max_size=3))
+           st.lists(st.sampled_from(SYMBOLS), max_size=3))
     def test_matches_label_semantics(self, model, heads, formula, stack):
-        gen = induced_chain(model, SimpleAssignment(heads), Configuration(tuple(stack)))
+        # A head-based labelling, p holding at the heads in heads[p], written
+        # with identity atoms: each p becomes the disjunction of its heads.
+        gen = induced_chain(model, Configuration(tuple(stack)))
         session = Evaluator(gen, BUDGET)
         for state in (gen.initial, "~"):
-            expected = TRUE if _label_verdict(formula, gen.labels(state)) else FALSE
-            assert session.eval_state(state, formula) is expected
+            labels = frozenset(p for p, hs in heads.items() if gen.head(state) in hs)
+            expected = TRUE if _label_verdict(formula, labels) else FALSE
+            assert session.eval_state(state, _as_head_disjunctions(formula, heads)) is expected
 
     def test_negated_atom_holds_on_the_empty_stack(self):
         gen = _cyclic_chain()
@@ -412,10 +415,10 @@ class TestQualitativeUntil:
     verdicts must agree with the solve wherever the solved interval decides."""
 
     @settings(max_examples=300)
-    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_solved_interval(self, model, stack, f1, f2, max_states, max_depth):
-        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
         interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
         for comparison in Comparison:
@@ -516,10 +519,10 @@ class TestUntilSupport:
     summaries; the full-region solve is the independent reference."""
 
     @settings(max_examples=300)
-    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), max_size=3),
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_bounded_reference(self, model, stack, f1, f2, max_states, max_depth):
-        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        gen = induced_chain(model, Configuration(tuple(stack)))
         session = Evaluator(gen, Budget(max_states, max_depth))
         until = Until(f1, f2)
         verdict = session.eval_state(gen.initial, Prob(Comparison.GT, Fraction(0), until))
@@ -537,11 +540,11 @@ class TestUntilSupport:
         assert solved == {x: reference[x] for x in solved}
 
     @settings(max_examples=200)
-    @given(_small_bpas(), st.permutations(_SYMBOLS), _propositional(), _propositional())
+    @given(small_bpas(), st.permutations(SYMBOLS), _propositional(), _propositional())
     def test_incremental_solves_match_kleene(self, model, order, f1, f2):
         # One query per symbol, so later solves build on the summaries of
         # earlier ones, which are final.
-        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(()))
+        gen = induced_chain(model, Configuration(()))
         session = Evaluator(gen, Budget(1, 1))
         for x in order:
             session.prob_until(x, f1, f2)
@@ -586,12 +589,12 @@ class TestDemandDrivenUntil:
     """Until-queries walk and explore only what they reach; the values must not change."""
 
     @settings(max_examples=300)
-    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_full_region_solve(self, model, stack, f1, f2, max_states, max_depth):
         # Where the until's support is zero, the query returns the point 0
         # without walking, and the full-region solve cannot bound it away from 0.
-        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
         interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
         reference = _full_region_until(gen, budget, f1, f2)
@@ -601,10 +604,10 @@ class TestDemandDrivenUntil:
             assert interval == ProbInterval(Fraction(0), Fraction(0)) and reference.lo == 0
 
     @settings(max_examples=200)
-    @given(_small_bpas(), st.lists(st.sampled_from(_SYMBOLS), min_size=1, max_size=3),
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
            st.integers(1, 40), st.integers(1, 8), st.randoms(use_true_random=False))
     def test_resumable_exploration_matches_explore(self, model, stack, max_states, max_depth, rng):
-        gen = induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(tuple(stack)))
+        gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
         full = explore(gen, gen.initial, budget)
         discovered = sorted(full.settled | full.frontier)
@@ -625,7 +628,7 @@ class TestSessionUntilTables:
         one = Fraction(1)
         table = {"b": [("c", H), ("win", H)], "c": [("d", one)], "d": [("win", one)],
                  "win": [("win", one)]}
-        gen = gen_from(table, {"win": frozenset({"win"})}, initial="b")
+        gen = gen_from(table, initial="b")
         session = Evaluator(gen, Budget(10, 1))
         assert session.prob_until("b", TRUE_FORMULA, Atom("win")) == ProbInterval(H, one)
         assert session.prob_until("c", TRUE_FORMULA, Atom("win")) == ProbInterval(Fraction(0), one)
@@ -633,15 +636,14 @@ class TestSessionUntilTables:
             "b": ProbInterval(H, one), "c": ProbInterval(Fraction(0), one), "win": one}
 
     @settings(max_examples=200)
-    @given(_small_bpas(), _propositional(), _propositional(), _propositional(), _propositional(),
-           st.lists(st.tuples(st.lists(st.sampled_from(_SYMBOLS), max_size=4), st.booleans()),
+    @given(small_bpas(), _propositional(), _propositional(), _propositional(), _propositional(),
+           st.lists(st.tuples(st.lists(st.sampled_from(SYMBOLS), max_size=4), st.booleans()),
                     min_size=2, max_size=8),
            st.integers(1, 40), st.integers(1, 8))
     def test_interleaved_pairs_match_fresh_sessions(self, model, f1a, f2a, f1b, f2b, queries,
                                                     max_states, max_depth):
         assume((f1a, f2a) != (f1b, f2b))
-        assignment = SimpleAssignment.identity(model.alphabet)
-        gen = induced_chain(model, assignment, Configuration(tuple(queries[0][0])))
+        gen = induced_chain(model, Configuration(tuple(queries[0][0])))
         budget = Budget(max_states, max_depth)
         session = Evaluator(gen, budget)
         for stack, second in queries:
@@ -672,7 +674,7 @@ REACH_EMPTY = "(U true (and (not (ap X)) (and (not (ap Y)) (not (ap Z)))))"
 
 def _cyclic_chain() -> BpaChain:
     model = parse_model(CYCLIC_MODEL)
-    return induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X",)))
+    return induced_chain(model, Configuration(("X",)))
 
 
 class TestCyclicSolve:
@@ -684,11 +686,11 @@ class TestCyclicSolve:
                  for i in range(1, n)}
         table["0"] = [("0", Fraction(1))]
         table[str(n)] = [(str(n), Fraction(1))]
-        gen = gen_from(table, {str(n): frozenset({"win"})}, initial="1")
+        gen = gen_from(table, initial="1")
         for i in range(n + 1):
             expected = Fraction(2**i - 1, 2**n - 1)
             interval = Evaluator(gen, Budget(100, 100)).prob_until(
-                str(i), TRUE_FORMULA, Atom("win"))
+                str(i), TRUE_FORMULA, Atom(str(n)))
             assert interval == ProbInterval(expected, expected)
 
     def test_random_chain_satisfies_its_equations(self):
@@ -701,7 +703,7 @@ class TestCyclicSolve:
             targets = rng.sample(states, 3) + ["win", "lose"]
             weights = [rng.randint(2, 9) for _ in range(3)] + [rng.randint(0, 1), 1]
             table[s] = [(t, Fraction(w, sum(weights))) for t, w in zip(targets, weights)]
-        gen = gen_from(table, {"win": frozenset({"win"})}, initial="s00")
+        gen = gen_from(table, initial="s00")
         value = {"win": Fraction(1), "lose": Fraction(0)}
         for s in states:
             interval = Evaluator(gen, Budget(100, 100)).prob_until(s, TRUE_FORMULA, Atom("win"))

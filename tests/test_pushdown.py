@@ -1,16 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import SYMBOLS, small_bpas
 from ppda import reduction
 from ppda.chain import Budget, explore
+from ppda.pctl import FALSE, TRUE, Atom, Evaluator
 from ppda.pushdown import (
     Bpa,
     BpaRule,
     Configuration,
     InvalidModelError,
     ModelSyntaxError,
-    SimpleAssignment,
     UnknownSymbolError,
     induced_chain,
     parse_model,
@@ -78,28 +80,35 @@ class TestValidateModel:
 class TestStep:
     def test_pop_rule(self):
         model = Bpa.make([BpaRule("X", (), ONE), BpaRule("Y", (), ONE)])
-        assert step(model, Configuration.parse("X Y")) == [(Configuration(("Y",)), ONE)]
+        assert step(model, "X Y") == [("Y", ONE)]
+        assert step(model, "Y") == [("~", ONE)]
 
     def test_guess_split_at_start(self, p1_artifact):
-        successors = step(p1_artifact.bpa, Configuration(("Z",)))
-        assert successors == [
-            (Configuration(("G(1,1)", "Z'")), H),
-            (Configuration(("G(2,1)", "Z'")), H),
-        ]
+        assert step(p1_artifact.bpa, "Z") == [("G(1,1) Z'", H), ("G(2,1) Z'", H)]
 
     def test_branch_after_checkpoint(self, p1, p1_artifact):
         config = reduction.check_config(p1_artifact, (1, 2))
-        successors = step(p1_artifact.bpa, config)
-        assert [c.head for c, _ in successors] == ["F", "S"]
+        successors = step(p1_artifact.bpa, config.encode())
+        assert [Configuration.parse(c).head for c, _ in successors] == ["F", "S"]
         assert [p for _, p in successors] == [H, H]
 
     def test_empty_stack_self_loop(self, p1_artifact):
-        dead = Configuration(())
-        assert step(p1_artifact.bpa, dead) == [(dead, ONE)]
+        assert step(p1_artifact.bpa, "~") == [("~", ONE)]
 
     def test_unknown_symbol(self, p1_artifact):
         with pytest.raises(UnknownSymbolError):
-            step(p1_artifact.bpa, Configuration(("BOGUS",)))
+            step(p1_artifact.bpa, "BOGUS Z'")
+
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), max_size=4))
+    def test_matches_tuple_semantics(self, model, stack):
+        # The reference rewrites the stack as a tuple and encodes each result.
+        state = Configuration(tuple(stack)).encode()
+        if not stack:
+            expected = [("~", ONE)]
+        else:
+            expected = sorted((Configuration(rule.body + tuple(stack[1:])).encode(), rule.probability)
+                              for rule in model.rules_by_head[stack[0]])
+        assert step(model, state) == expected
 
 
 class TestModelText:
@@ -140,10 +149,11 @@ class TestModelText:
 
 class TestAssignments:
     def test_simple_head_membership(self, p1_artifact):
-        nu = SimpleAssignment({"C": frozenset({"C"})})
-        gen = induced_chain(p1_artifact.bpa, nu, Configuration(("Z",)))
-        assert gen.labels("C P(A,A) Z'") == frozenset({"C"})
-        assert gen.labels("N P(A,A) Z'") == frozenset()
+        # Every stack symbol is its own proposition, holding where it is the head.
+        session = Evaluator(p1_artifact.chain, Budget(10, 10))
+        assert session.eval_state("C P(A,A) Z'", Atom("C")) is TRUE
+        assert session.eval_state("N P(A,A) Z'", Atom("C")) is FALSE
+        assert p1_artifact.chain.labels("C P(A,A) Z'") == frozenset({"C"})
 
 
 class TestInducedChain:
@@ -164,19 +174,19 @@ class TestInducedChain:
     def test_invalid_model_rejected(self):
         bad = Bpa.make([BpaRule("X", ("X",), H)])
         with pytest.raises(InvalidModelError, match="invalid model: X: rule probabilities sum to 1/2"):
-            induced_chain(bad, SimpleAssignment.identity(bad.alphabet), Configuration(("X",)))
+            induced_chain(bad, Configuration(("X",)))
 
     def test_symbol_with_whitespace_rejected(self):
         # Before validation flagged it, the stack ("X Y",) stepped by the
         # rule of X instead of popping.
         model = Bpa.make([BpaRule("X Y", (), ONE), BpaRule("X", ("X",), ONE), BpaRule("Y", ("Y",), ONE)])
         with pytest.raises(InvalidModelError, match="'X Y': a stack symbol must be non-empty"):
-            induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X Y",)))
+            induced_chain(model, Configuration(("X Y",)))
 
     def test_unknown_start_symbol_rejected(self):
         model = parse_model("X -> ~ [1]\n")
         with pytest.raises(UnknownSymbolError, match="unknown stack symbol 'Y'"):
-            induced_chain(model, SimpleAssignment.identity(model.alphabet), Configuration(("X", "Y")))
+            induced_chain(model, Configuration(("X", "Y")))
 
 
 class TestStackDiscipline:

@@ -152,7 +152,9 @@ class TestCompile:
         assert "(ap X(_,B))" in text
 
     def test_every_symbol_is_a_proposition(self, p1_artifact):
-        assert p1_artifact.assignment.propositions() == p1_artifact.bpa.alphabet
+        # Each symbol labels exactly the configurations it heads.
+        for symbol in p1_artifact.bpa.alphabet:
+            assert p1_artifact.chain.labels(f"{symbol} Z'") == frozenset({symbol})
 
 
 class TestDyadicEncoding:
