@@ -1,8 +1,9 @@
 """Exact-arithmetic toolkit for probabilistic pushdown processes.
 
-Markov chains with rational probabilities, PCTL with sound three-valued
-bounded evaluation, stateless pushdown processes, and a compiler that turns
-word-matching (PCP) instances into pushdown models whose formula
+Stateless probabilistic pushdown processes and the Markov chains they
+induce over configurations, with exact rational probabilities; PCTL with
+sound three-valued bounded evaluation on those chains; and a compiler that
+turns word-matching (PCP) instances into pushdown models whose formula
 probabilities certify solutions.
 """
 from .chain import (
@@ -11,10 +12,8 @@ from .chain import (
     ExploreResult,
     FinitePath,
     InvalidPathError,
-    Violation,
     explore,
     path_probability,
-    validate_distribution,
 )
 from .pctl import (
     And,

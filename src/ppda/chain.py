@@ -1,18 +1,18 @@
-"""Lazily-unfolded Markov chains with exact rational transition probabilities.
+"""Exploration and path probabilities over the chain a pBPA induces.
 
-States are opaque canonical strings: equal strings denote equal states, and
-successor lists are kept in lexicographic order of the successor encoding so
-that every traversal in the package is deterministic.
+The chain is ``pushdown.ChainGenerator``, which ``pushdown.induced_chain``
+returns. Its states are encoded configurations: equal strings denote
+equal states, and successor lists are sorted by successor, so every
+traversal in the package is deterministic.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .errors import PpdaInputError
-from .rationals import format_rational, require_fraction
+from .pushdown import ChainGenerator
 
 ChainState = str
 
@@ -45,74 +45,9 @@ class FinitePath:
 
 
 @dataclass(frozen=True)
-class Violation:
-    state: ChainState
-    reason: str
-
-
-@dataclass(frozen=True)
 class ExploreResult:
     settled: frozenset[ChainState]
     frontier: frozenset[ChainState]
-
-
-class ChainGenerator:
-    """A (possibly infinite) Markov chain given by successor and label functions.
-
-    The successor function must be pure; results are cached, normalized to
-    Fractions, and sorted by successor encoding. Labeling returns the set of
-    atomic propositions holding at a state.
-    """
-
-    def __init__(
-        self,
-        initial: ChainState,
-        successors: Callable[[ChainState], Iterable[tuple[ChainState, Fraction]]],
-        labels: Callable[[ChainState], Iterable[str]],
-    ) -> None:
-        self.initial = initial
-        self._successors = successors
-        self._labels = labels
-        self._succ_cache: dict[ChainState, list[tuple[ChainState, Fraction]]] = {}
-
-    def successors(self, state: ChainState) -> list[tuple[ChainState, Fraction]]:
-        cached = self._succ_cache.get(state)
-        if cached is None:
-            raw = [(t, require_fraction(p)) for t, p in self._successors(state)]
-            raw.sort(key=lambda tp: tp[0])
-            cached = raw
-            self._succ_cache[state] = cached
-        return cached
-
-    def labels(self, state: ChainState) -> frozenset[str]:
-        return frozenset(self._labels(state))
-
-    def transition_probability(self, src: ChainState, dst: ChainState) -> Fraction | None:
-        for t, p in self.successors(src):
-            if t == dst:
-                return p
-        return None
-
-
-def validate_distribution(gen: ChainGenerator, state: ChainState) -> list[Violation]:
-    """Check one state's outgoing distribution; empty list means ok."""
-    succ = gen.successors(state)
-    out: list[Violation] = []
-    if not succ:
-        out.append(Violation(state, "no successors (transition relation not total)"))
-        return out
-    seen: set[ChainState] = set()
-    total = Fraction(0)
-    for target, prob in succ:
-        if target in seen:
-            out.append(Violation(state, f"duplicate successor {target!r}"))
-        seen.add(target)
-        if not 0 < prob <= 1:
-            out.append(Violation(state, f"probability {format_rational(prob)} to {target!r} outside (0,1]"))
-        total += prob
-    if total != 1:
-        out.append(Violation(state, f"successor probabilities sum to {format_rational(total)}, not 1"))
-    return out
 
 
 def path_probability(gen: ChainGenerator, path: FinitePath) -> Fraction:
@@ -123,7 +58,7 @@ def path_probability(gen: ChainGenerator, path: FinitePath) -> Fraction:
     """
     prob = ONE
     for src, dst in zip(path.states, path.states[1:]):
-        p = gen.transition_probability(src, dst)
+        p = dict(gen.successors(src)).get(dst)
         if p is None:
             raise InvalidPathError(f"no transition {src!r} -> {dst!r}")
         prob *= p

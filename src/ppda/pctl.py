@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 from .chain import Budget, ChainState, Exploration
 from .errors import PpdaInputError
-from .pushdown import BpaChain, Configuration, UnknownSymbolError
+from .pushdown import ChainGenerator, Configuration, UnknownSymbolError
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -503,7 +503,7 @@ class Evaluator:
     pair's table up once and then reads it by state.
     """
 
-    def __init__(self, gen: BpaChain, budget: Budget | None) -> None:
+    def __init__(self, gen: ChainGenerator, budget: Budget | None) -> None:
         self.gen = gen
         self.budget = budget
         self.universe = frozenset(gen.bpa.alphabet) | {None}

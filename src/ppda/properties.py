@@ -13,7 +13,7 @@ from typing import Iterator
 from . import oracle, reduction
 from .chain import Budget, explore, path_probability
 from .pctl import Evaluator
-from .pushdown import BpaChain, Configuration
+from .pushdown import ChainGenerator, Configuration
 
 
 def _random_word(rng: random.Random, max_len: int, min_len: int = 1) -> str:
@@ -57,7 +57,7 @@ def checkpoint_reachability(instance: reduction.PcpInstance, word) -> str | None
     gen = artifact.chain
     depth = 2 * (artifact.m + 1) + 1
     result = explore(gen, "Z", Budget(100000, depth))
-    found = {s for s in result.settled | result.frontier if BpaChain.head(s) == "C"}
+    found = {s for s in result.settled | result.frontier if ChainGenerator.head(s) == "C"}
     expected = {reduction.guess_config(instance, w).encode() for w in oracle.index_words(instance.n, 2)}
     if found != expected:
         return f"reachable checkpoint set mismatch for {instance.pairs}"

@@ -1,11 +1,14 @@
-"""Stateless probabilistic pushdown processes (pBPA) and their induced Markov chains.
+"""Stateless probabilistic pushdown processes (pBPA) and the Markov chain
+each induces over its configurations.
 
 A ``Bpa`` has no control states: a configuration is a finite stack word
 with the top symbol leftmost, and rewriting the top symbol by a rule body
 of length at most two induces a Markov chain over configurations. A
 configuration with an empty stack is dead: it gets a probability-1
 self-loop and satisfies no atomic proposition, which keeps the transition
-relation total.
+relation total. ``induced_chain`` validates a model and returns that
+chain as a ``ChainGenerator``, which unfolds it lazily from a start
+configuration.
 
 This module is the one place that knows how a configuration is encoded as
 a chain state: its symbols joined by single spaces, top first, or ``~``
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .chain import ChainGenerator
 from .errors import PpdaInputError
 from .rationals import RationalFormatError, format_rational, parse_rational
 
@@ -104,8 +106,9 @@ class Bpa:
 
 
 def validate_model(model: Bpa) -> list[ModelViolation]:
-    """Rule totality per head, probability sums, body lengths, and symbols the
-    configuration encoding carries: not ``~``, not empty, no whitespace."""
+    """Rule totality per head, exact (``Fraction``) probabilities and their
+    sums, body lengths, and symbols the configuration encoding carries: not
+    ``~``, not empty, no whitespace."""
     out: list[ModelViolation] = []
     if EMPTY_MARK in model.alphabet:
         out.append(ModelViolation(EMPTY_MARK, "'~' is the empty stack and cannot be a stack symbol"))
@@ -113,23 +116,29 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         if symbol.split() != [symbol]:
             out.append(ModelViolation(repr(symbol), "a stack symbol must be non-empty and hold no whitespace"))
     per_head: dict[str, Fraction] = {}
+    inexact: set[str] = set()  # heads whose sum is not checked: a rule is flagged instead
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
         subject = f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
         if len(rule.body) > 2:
             out.append(ModelViolation(subject, "body longer than 2 symbols"))
-        if not 0 < rule.probability <= 1:
+        exact = isinstance(rule.probability, Fraction)
+        if not exact:
+            out.append(ModelViolation(
+                subject, f"probability must be an exact rational, got {type(rule.probability).__name__}"))
+            inexact.add(rule.head)
+        elif not 0 < rule.probability <= 1:
             out.append(ModelViolation(subject, f"probability {format_rational(rule.probability)} outside (0,1]"))
         key = (rule.head, rule.body)
         if key in seen:
             out.append(ModelViolation(subject, "duplicate rule"))
         seen.add(key)
-        per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + rule.probability
+        per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + (rule.probability if exact else 0)
     for symbol in model.alphabet:
         total = per_head.get(symbol)
         if total is None:
             out.append(ModelViolation(symbol, "no rule for this symbol"))
-        elif total != 1:
+        elif total != 1 and symbol not in inexact:
             out.append(ModelViolation(symbol, f"rule probabilities sum to {format_rational(total)}, not 1"))
     return out
 
@@ -153,15 +162,28 @@ def step(model: Bpa, state: str) -> list[tuple[str, Fraction]]:
     return successors
 
 
-class BpaChain(ChainGenerator):
-    """The Markov chain a pBPA induces over encoded configurations, labelled by
-    the head: a state's label set is its top symbol, or empty on the empty stack."""
+class ChainGenerator:
+    """The Markov chain a pBPA induces over encoded configurations from ``start``.
+
+    ``successors`` caches ``step``'s list as it is: sorted by successor,
+    with ``Fraction`` probabilities. A state's label set is its head, or
+    empty on the empty stack.
+    """
 
     def __init__(self, bpa: Bpa, start: Configuration) -> None:
         self.bpa = bpa
-        # The closures hold no reference to the chain, so refcounting frees
-        # it; ``step`` is looked up at each call.
-        super().__init__(start.encode(), lambda state: step(bpa, state), lambda state: {BpaChain.head(state)} - {None})
+        self.initial = start.encode()
+        self._succ_cache: dict[str, list[tuple[str, Fraction]]] = {}
+
+    def successors(self, state: str) -> list[tuple[str, Fraction]]:
+        cached = self._succ_cache.get(state)
+        if cached is None:
+            cached = self._succ_cache[state] = step(self.bpa, state)
+        return cached
+
+    def labels(self, state: str) -> frozenset[str]:
+        head = self.head(state)
+        return frozenset() if head is None else frozenset({head})
 
     @staticmethod
     def head(state: str) -> str | None:
@@ -170,7 +192,7 @@ class BpaChain(ChainGenerator):
         return None if top == EMPTY_MARK else top
 
 
-def induced_chain(model: Bpa, start: Configuration) -> BpaChain:
+def induced_chain(model: Bpa, start: Configuration) -> ChainGenerator:
     """The Markov chain over configurations from ``start``, labelled by the head.
 
     Raises ``UnknownSymbolError`` if ``start`` holds a symbol outside the
@@ -183,7 +205,7 @@ def induced_chain(model: Bpa, start: Configuration) -> BpaChain:
     for symbol in start.stack:
         if symbol not in known:
             raise UnknownSymbolError(symbol)
-    return BpaChain(model, start)
+    return ChainGenerator(model, start)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact rational helpers shared by every module.
 
-All probabilities in this package are `fractions.Fraction` values; floats
-are rejected wherever a probability enters the system. The text form is
-``p/q``, or just ``p`` when the denominator is 1.
+All probabilities in this package are `fractions.Fraction` values: the
+text form is parsed to one, and ``pushdown.validate_model`` refuses a model
+built in code with any other probability type, floats and bools included.
+The text form is ``p/q``, or just ``p`` when the denominator is 1.
 """
 from __future__ import annotations
 
@@ -51,12 +52,3 @@ def format_rational(value: Fraction) -> str:
     """The exact text of ``value``, converted in pieces that no int/str digit limit refuses."""
     text = _decimal(value.numerator)
     return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
-
-
-def require_fraction(value, what: str = "probability") -> Fraction:
-    """Reject floats and other inexact types; ints are promoted."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise TypeError(f"{what} must be an exact rational, got {type(value).__name__}")

@@ -39,7 +39,7 @@ from .pctl import (
     conjunction,
     disjunction,
 )
-from .pushdown import Bpa, BpaChain, BpaRule, Configuration, induced_chain
+from .pushdown import Bpa, BpaRule, ChainGenerator, Configuration, induced_chain
 from .rationals import format_rational
 
 PAD = "_"
@@ -377,7 +377,7 @@ class ReductionArtifact:
         return "C" if self.variant.kind is VariantKind.CF_SIMPLE else "N"
 
     @cached_property
-    def chain(self) -> BpaChain:
+    def chain(self) -> ChainGenerator:
         return induced_chain(self.bpa, Configuration(("Z",)))
 
 

@@ -1,4 +1,5 @@
-"""Shared fixtures and independent label predicates used across test modules."""
+"""Shared fixtures, a table-to-pBPA chain builder and independent label
+predicates used across test modules."""
 from __future__ import annotations
 
 import sys
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from ppda import reduction
-from ppda.pushdown import Bpa, BpaRule
+from ppda.pushdown import Bpa, BpaRule, ChainGenerator, Configuration, induced_chain
 
 settings.register_profile("det", derandomize=True, deadline=None)
 settings.load_profile("det")
@@ -29,6 +30,17 @@ def small_bpas(draw) -> Bpa:
         weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
         rules += [BpaRule(head, body, Fraction(w, sum(weights))) for body, w in zip(chosen, weights)]
     return Bpa.make(rules)
+
+
+def gen_from(table: dict, initial: str = "a") -> ChainGenerator:
+    """The chain of ``table`` as a pBPA: each state is a one-symbol stack with a
+    rule ``s -> t [p]`` per positive entry, and a state without a row loops on
+    itself. So ``(ap s)`` holds exactly at the state s."""
+    rows = {initial: [(initial, Fraction(1))]}
+    rows.update({t: [(t, Fraction(1))] for row in table.values() for t, _ in row})
+    rows.update(table)
+    rules = [BpaRule(s, (t,), p) for s, row in rows.items() for t, p in row if p]
+    return induced_chain(Bpa.make(rules), Configuration((initial,)))
 
 
 # Until-operand predicates over label sets, written directly against the

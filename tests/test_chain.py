@@ -3,67 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import gen_from
 from ppda.chain import (
     Budget,
-    ChainGenerator,
     FinitePath,
     InvalidPathError,
     explore,
     path_probability,
-    validate_distribution,
 )
 
 H = Fraction(1, 2)
-
-
-def gen_from(table: dict, initial: str = "a", labels: dict | None = None) -> ChainGenerator:
-    labels = labels or {}
-    return ChainGenerator(
-        initial,
-        lambda s: table[s],
-        lambda s: labels.get(s, frozenset()),
-    )
-
-
-class TestValidateDistribution:
-    def test_uniform_split_ok(self):
-        gen = gen_from({"a": [("b", H), ("c", H)]})
-        assert validate_distribution(gen, "a") == []
-
-    def test_deficient_mass(self):
-        gen = gen_from({"a": [("b", Fraction(1, 3)), ("c", Fraction(1, 3))]})
-        problems = validate_distribution(gen, "a")
-        assert len(problems) == 1
-        assert "2/3" in problems[0].reason
-
-    def test_deterministic_transition_ok(self):
-        gen = gen_from({"a": [("b", Fraction(1))]})
-        assert validate_distribution(gen, "a") == []
-
-    def test_duplicate_successor_flagged(self):
-        gen = gen_from({"a": [("b", H), ("b", H)]})
-        problems = validate_distribution(gen, "a")
-        assert any("duplicate" in p.reason for p in problems)
-
-    def test_no_successors_flagged(self):
-        gen = gen_from({"a": []})
-        problems = validate_distribution(gen, "a")
-        assert any("total" in p.reason for p in problems)
-
-    def test_float_probability_rejected(self):
-        gen = gen_from({"a": [("b", 0.5), ("c", 0.5)]})
-        with pytest.raises(TypeError):
-            gen.successors("a")
-
-    def test_messages_past_the_digit_limit_are_exact(self, digit_limit):
-        # 1 + 10^-4400 has a 4,401-digit numerator, which str() refuses.
-        over = Fraction(10**4400 + 1, 10**4400)
-        gen = gen_from({"a": [("b", over)]})
-        text = "1" + "0" * 4399 + "1/1" + "0" * 4400
-        assert [p.reason for p in validate_distribution(gen, "a")] == [
-            f"probability {text} to 'b' outside (0,1]",
-            f"successor probabilities sum to {text}, not 1",
-        ]
 
 
 class TestPathProbability:

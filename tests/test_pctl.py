@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import SYMBOLS, small_bpas
+from conftest import SYMBOLS, gen_from, small_bpas
 from ppda.chain import Budget, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
@@ -36,21 +36,10 @@ from ppda.pctl import (
     parse_path_formula,
     serialize_formula,
 )
-from ppda.pushdown import Bpa, BpaChain, BpaRule, Configuration, induced_chain, parse_model
+from ppda.pushdown import Bpa, BpaRule, ChainGenerator, Configuration, induced_chain, parse_model
 
 H = Fraction(1, 2)
 BUDGET = Budget(200, 50)
-
-
-def gen_from(table: dict, initial: str = "a") -> BpaChain:
-    """The chain of ``table`` as a pBPA: each state is a one-symbol stack with a
-    rule ``s -> t [p]`` per positive entry, and a state without a row loops on
-    itself. So ``(ap s)`` holds exactly at the state s."""
-    rows = {initial: [(initial, Fraction(1))]}
-    rows.update({t: [(t, Fraction(1))] for row in table.values() for t, _ in row})
-    rows.update(table)
-    rules = [BpaRule(s, (t,), p) for s, row in rows.items() for t, p in row if p]
-    return induced_chain(Bpa.make(rules), Configuration((initial,)))
 
 
 class TestParsing:
@@ -453,7 +442,7 @@ class TestQualitativeUntil:
         assert evaluator.region_cache["Z"].settled_count <= 31
 
 
-def _full_region_until(gen: BpaChain, budget: Budget, f1, f2) -> ProbInterval:
+def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
     """The until-interval at the start from the whole region: explore it, classify
     every discovered state, and solve for both bounds."""
     region = explore(gen, gen.initial, budget)
@@ -480,7 +469,7 @@ def _full_region_until(gen: BpaChain, budget: Budget, f1, f2) -> ProbInterval:
     return ProbInterval(lo, hi)
 
 
-def _support_verdict(gen: BpaChain, f1, f2):
+def _support_verdict(gen: ChainGenerator, f1, f2):
     """``P>0 (f1 U f2)`` at the start, from a session whose budget decides nothing."""
     formula = Prob(Comparison.GT, Fraction(0), Until(f1, f2))
     return Evaluator(gen, Budget(1, 1)).eval_state(gen.initial, formula)
@@ -672,7 +661,7 @@ CYCLIC_QUERY = "(P> 0 (U (not (ap Z)) (ap Z)))"
 REACH_EMPTY = "(U true (and (not (ap X)) (and (not (ap Y)) (not (ap Z)))))"
 
 
-def _cyclic_chain() -> BpaChain:
+def _cyclic_chain() -> ChainGenerator:
     model = parse_model(CYCLIC_MODEL)
     return induced_chain(model, Configuration(("X",)))
 

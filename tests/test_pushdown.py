@@ -176,6 +176,20 @@ class TestInducedChain:
         with pytest.raises(InvalidModelError, match="invalid model: X: rule probabilities sum to 1/2"):
             induced_chain(bad, Configuration(("X",)))
 
+    @pytest.mark.parametrize("rules,name", [
+        ([BpaRule("X", ("X",), 0.5), BpaRule("X", (), 0.5)], "float"),
+        ([BpaRule("X", (), True)], "bool"),
+        ([BpaRule("X", ("X",), H), BpaRule("X", (), None)], "NoneType"),
+    ], ids=["float", "bool", "none"])
+    def test_inexact_probability_rejected(self, rules, name):
+        # Each inexact rule is flagged once, with no sum violation on top.
+        reason = f"probability must be an exact rational, got {name}"
+        model = Bpa.make(rules)
+        inexact = [rule for rule in rules if not isinstance(rule.probability, Fraction)]
+        assert [p.reason for p in validate_model(model)] == [reason] * len(inexact)
+        with pytest.raises(InvalidModelError, match=f"X -> ~: {reason}"):
+            induced_chain(model, Configuration(("X",)))
+
     def test_symbol_with_whitespace_rejected(self):
         # Before validation flagged it, the stack ("X Y",) stepped by the
         # rule of X instead of popping.
@@ -199,10 +213,12 @@ class TestStackDiscipline:
                 assert len(Configuration.parse(target).stack) <= size + 1
 
     def test_reachable_distributions_are_total(self, p1_artifact):
-        from ppda.chain import validate_distribution
-
         gen = p1_artifact.chain
         region = explore(gen, "Z", Budget(max_states=300, max_depth=12))
         for state in region.settled | region.frontier:
-            assert validate_distribution(gen, state) == []
+            successors = gen.successors(state)
+            targets = [target for target, _ in successors]
+            assert len(set(targets)) == len(targets)
+            assert all(0 < prob <= 1 for _, prob in successors)
+            assert sum(prob for _, prob in successors) == 1
 

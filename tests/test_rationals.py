@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ppda.rationals import RationalFormatError, format_rational, parse_rational, require_fraction
+from ppda.rationals import RationalFormatError, format_rational, parse_rational
 
 
 def test_parse_integer_and_fraction():
@@ -49,11 +49,3 @@ def test_format_is_exact_past_the_digit_limit(digit_limit, value):
 def test_round_trip(num, den):
     value = Fraction(num, den)
     assert parse_rational(format_rational(value)) == value
-
-
-def test_require_fraction_rejects_floats():
-    assert require_fraction(1) == Fraction(1)
-    with pytest.raises(TypeError):
-        require_fraction(0.5)
-    with pytest.raises(TypeError):
-        require_fraction(True)
