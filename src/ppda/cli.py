@@ -162,6 +162,8 @@ def _cmd_lemmas(args) -> int:
 
 _MAX_K_HELP = (f"longest index word to try; refused (exit 2) when the words up to this "
                f"length, n + n^2 + ... + n^K for n pairs, are more than {MAX_SEARCH_WORDS} words")
+_VARIANT_HELP = (f"default | cf-simple | 'n-chain K'; refused (exit 2) when K > "
+                 f"{reduction.MAX_CHAIN_LENGTH}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,15 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile an instance to a pushdown model")
     p_compile.add_argument("--instance", required=True)
-    p_compile.add_argument("--variant", default="default",
-                           help="default | cf-simple | 'n-chain K'")
+    p_compile.add_argument("--variant", default="default", help=_VARIANT_HELP)
     p_compile.add_argument("--out", required=True)
     p_compile.set_defaults(func=_cmd_compile)
 
     p_certify = sub.add_parser("certify", help="certify one index word")
     p_certify.add_argument("--instance", required=True)
     p_certify.add_argument("--word", required=True, help="comma-separated indices, e.g. 1,2")
-    p_certify.add_argument("--variant", default="default")
+    p_certify.add_argument("--variant", default="default", help=_VARIANT_HELP)
     p_certify.set_defaults(func=_cmd_certify)
 
     p_search = sub.add_parser("search", help="search for a solution word")

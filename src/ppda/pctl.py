@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import re
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -101,86 +102,96 @@ def kleene_and(a: ThreeValued, b: ThreeValued) -> ThreeValued:
 # Abstract syntax
 
 
+_INTERNED: "weakref.WeakValueDictionary[tuple, _Node]" = weakref.WeakValueDictionary()
+
+
 class _Node:
-    """Formula nodes are evaluation cache keys, so each one hashes once, when
-    it is built, from its type and fields; a field's hash is already stored,
-    so no hash walks a subtree. Each dataclass sets ``__hash__`` to
-    ``_Node.__hash__``, since a frozen dataclass would otherwise generate its
-    own."""
+    """A formula node, hash-consed (Filliâtre and Conchon, "Type-safe modular
+    hash-consing", ML Workshop 2006): building a node from the fields of a
+    live one returns that node, so equal formulas are one object and ``==``
+    and ``hash`` are identity. Children are interned already, so a table key
+    compares in constant time, and the table keeps no node alive. A class
+    names its fields in ``__slots__``; ``kids`` holds those that are nodes."""
 
-    def __post_init__(self) -> None:
-        # Run by the generated __init__, when __dict__ holds just the fields.
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *vars(self).values())))
+    __slots__ = ("kids", "__weakref__")
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        node = _INTERNED.get(key)
+        if node is None:
+            if len(fields) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields, got {len(fields)}")
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "kids", tuple([f for f in fields if isinstance(f, _Node)]))
+            _INTERNED[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: formula nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __new__, which returns the interned node.
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
 class TrueFormula(_Node):
-    __hash__ = _Node.__hash__
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(_Node):
     """Holds exactly when the head of the stack is the stack symbol ``name``."""
 
-    name: str
-    __hash__ = _Node.__hash__
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(_Node):
-    operand: "StateFormula"
-    __hash__ = _Node.__hash__
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(_Node):
-    left: "StateFormula"
-    right: "StateFormula"
-    __hash__ = _Node.__hash__
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Next(_Node):
-    operand: "StateFormula"
-    __hash__ = _Node.__hash__
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class Until(_Node):
-    left: "StateFormula"
-    right: "StateFormula"
-    __hash__ = _Node.__hash__
+    __slots__ = ("left", "right")
 
 
 PathFormula = Union[Next, Until]
 
 
-@dataclass(frozen=True)
 class Prob(_Node):
-    comparison: Comparison
-    bound: Bound
-    path: PathFormula
-    __hash__ = _Node.__hash__
+    __slots__ = ("comparison", "bound", "path")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.bound, Fraction) and not 0 <= self.bound <= 1:
-            raise BoundRangeError(f"probability bound {format_rational(self.bound)} outside [0,1]")
-        super().__post_init__()
+    def __new__(cls, comparison: Comparison, bound: Bound, path: PathFormula) -> "Prob":
+        if isinstance(bound, Fraction) and not 0 <= bound <= 1:
+            raise BoundRangeError(f"probability bound {format_rational(bound)} outside [0,1]")
+        return super().__new__(cls, comparison, bound, path)
 
 
 StateFormula = Union[TrueFormula, Atom, Not, And, Prob]
 
 TRUE_FORMULA = TrueFormula()
 
+# The keyword of each operator, read by the parser and the serializer; an
+# operator's operands are its fields, in order.
+_OPERATORS = {Not: "not", And: "and", Next: "X", Until: "U"}
+
 
 def conjunction(parts: list["StateFormula"]) -> "StateFormula":
     """Right-folded conjunction; empty input means true."""
-    if not parts:
-        return TRUE_FORMULA
-    out = parts[-1]
+    out = parts[-1] if parts else TRUE_FORMULA
     for part in reversed(parts[:-1]):
         out = And(part, out)
     return out
@@ -191,44 +202,46 @@ def disjunction(parts: list["StateFormula"]) -> "StateFormula":
     return Not(conjunction([Not(p) for p in parts]))
 
 
-def replace_bounds(formula, replace: Callable[[Bound], Bound]):
-    """Structurally rebuild a formula, mapping every probability bound.
+def postorder(formula, done):
+    """Yield each node of ``formula`` not in ``done``, children first, from an
+    explicit stack, so depth costs no recursion. The caller puts each node
+    into ``done`` before it takes the next, so a shared node is yielded once."""
+    stack = [formula]
+    while stack:
+        node = stack[-1]
+        if node in done:
+            stack.pop()
+            continue
+        missing = [kid for kid in node.kids if kid not in done]
+        if missing:
+            stack.extend(missing)
+        else:
+            stack.pop()
+            yield node
 
-    A subtree in which ``replace`` returns every bound unchanged is returned
-    as it is, so the result shares those nodes with the input and cache
-    lookups keyed by them match by identity.
-    """
-    if isinstance(formula, (TrueFormula, Atom)):
-        return formula
-    if isinstance(formula, (Not, Next)):
-        operand = replace_bounds(formula.operand, replace)
-        return formula if operand is formula.operand else type(formula)(operand)
-    if isinstance(formula, (And, Until)):
-        left = replace_bounds(formula.left, replace)
-        right = replace_bounds(formula.right, replace)
-        if left is formula.left and right is formula.right:
-            return formula
-        return type(formula)(left, right)
-    if isinstance(formula, Prob):
-        bound = replace(formula.bound)
-        path = replace_bounds(formula.path, replace)
-        if bound is formula.bound and path is formula.path:
-            return formula
-        return Prob(formula.comparison, bound, path)
-    raise TypeError(f"not a formula: {formula!r}")
+
+def replace_bounds(formula, replace: Callable[[Bound], Bound]):
+    """Rebuild a formula, mapping every probability bound. Nodes are interned,
+    so a subtree in which ``replace`` returns every bound unchanged comes back
+    as the same node."""
+    new: dict = {}
+    for node in postorder(formula, new):
+        if isinstance(node, Prob):
+            new[node] = Prob(node.comparison, replace(node.bound), new[node.path])
+        elif node.kids:
+            new[node] = type(node)(*(new[kid] for kid in node.kids))
+        else:
+            new[node] = node
+    return new[formula]
 
 
 def has_placeholder(formula) -> bool:
-    found = False
-
-    def check(bound: Bound) -> Bound:
-        nonlocal found
-        if isinstance(bound, BoundPlaceholder):
-            found = True
-        return bound
-
-    replace_bounds(formula, check)
-    return found
+    seen: set = set()
+    for node in postorder(formula, seen):
+        if isinstance(node, Prob) and isinstance(node.bound, BoundPlaceholder):
+            return True
+        seen.add(node)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -237,12 +250,14 @@ def has_placeholder(formula) -> bool:
 _NAME_CHARS = set("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_():,'")
 _KEYWORD_RE = re.compile(r"[A-Za-z>=]+")
 _BOUND_RE = re.compile(r"\?t/2|\?\(1-t\)/2|-?\d+(?:/\d+)?")
+_STATE_OPERATORS = {_OPERATORS[cls]: cls for cls in (Not, And)}
+_PATH_OPERATORS = {_OPERATORS[cls]: cls for cls in (Next, Until)}
 
 
-# Deepest operator nesting the parser accepts. Parsing, serializing,
-# replace_bounds and the evaluator's descent through probability operators
-# recurse on nesting (propositional operands compile without recursion), so
-# deeper input would exhaust the stack; the reduction's formulas stay below 20.
+# Deepest operator nesting the parser accepts. Only the parser and the
+# evaluator's descent through probability operators recurse on nesting (every
+# other traversal is ``postorder``), so deeper input would exhaust the stack;
+# the reduction's formulas stay below 20.
 MAX_NESTING = 200
 
 
@@ -337,22 +352,14 @@ class _Scanner:
             atom = Atom(self.name())
             self.expect_close()
             return atom
-        if kw == "not":
-            inner = self.state_formula()
-            self.expect_close()
-            return Not(inner)
-        if kw == "and":
-            left = self.state_formula()
-            right = self.state_formula()
-            self.expect_close()
-            return And(left, right)
+        if kw in _STATE_OPERATORS:
+            return self.operands(_STATE_OPERATORS[kw])
         if kw in ("P>", "P="):
             self.skip_ws()
             bound = self.bound()
             path = self.path_formula()
             self.expect_close()
-            cmp = Comparison.GT if kw == "P>" else Comparison.EQ
-            return Prob(cmp, bound, path)
+            return Prob(Comparison(kw[1]), bound, path)
         raise self.error(f"unknown state operator {kw!r}")
 
     def path_formula(self) -> PathFormula:
@@ -361,58 +368,58 @@ class _Scanner:
             raise self.error("expected a path formula")
         self.open()
         kw = self.keyword()
-        if kw == "X":
-            inner = self.state_formula()
-            self.expect_close()
-            return Next(inner)
-        if kw == "U":
-            left = self.state_formula()
-            right = self.state_formula()
-            self.expect_close()
-            return Until(left, right)
+        if kw in _PATH_OPERATORS:
+            return self.operands(_PATH_OPERATORS[kw])
         raise self.error(f"unknown path operator {kw!r}")
 
-    def finish(self) -> None:
+    def operands(self, cls):
+        """The state-formula operands of ``cls``, one per field, and the ')'."""
+        operands = [self.state_formula() for _ in cls.__slots__]
+        self.expect_close()
+        return cls(*operands)
+
+    def finish(self, formula):
         self.skip_ws()
         if self.pos != len(self.text):
             raise self.error("trailing input after formula")
+        return formula
 
 
 def parse_formula(text: str) -> StateFormula:
     scanner = _Scanner(text)
-    formula = scanner.state_formula()
-    scanner.finish()
-    return formula
+    return scanner.finish(scanner.state_formula())
 
 
 def parse_path_formula(text: str) -> PathFormula:
     scanner = _Scanner(text)
-    formula = scanner.path_formula()
-    scanner.finish()
-    return formula
+    return scanner.finish(scanner.path_formula())
 
 
 def serialize_formula(formula) -> str:
-    if isinstance(formula, TrueFormula):
-        return "true"
-    if isinstance(formula, Atom):
-        return f"(ap {formula.name})"
-    if isinstance(formula, Not):
-        return f"(not {serialize_formula(formula.operand)})"
-    if isinstance(formula, And):
-        return f"(and {serialize_formula(formula.left)} {serialize_formula(formula.right)})"
-    if isinstance(formula, Prob):
-        op = "P>" if formula.comparison is Comparison.GT else "P="
-        if isinstance(formula.bound, BoundPlaceholder):
-            bound = formula.bound.value
+    # Each node's text is a rope, a tuple of strings and its children's ropes,
+    # flattened once from an explicit stack: a string per node would copy each
+    # subtree's text once per ancestor, which is quadratic in depth.
+    ropes: dict = {}
+    for node in postorder(formula, ropes):
+        if isinstance(node, Atom):
+            ropes[node] = f"(ap {node.name})"
+        elif isinstance(node, Prob):
+            bound = node.bound.value if isinstance(node.bound, BoundPlaceholder) else format_rational(node.bound)
+            ropes[node] = (f"(P{node.comparison.value} {bound} ", ropes[node.path], ")")
+        elif isinstance(node, TrueFormula):
+            ropes[node] = "true"
         else:
-            bound = format_rational(formula.bound)
-        return f"({op} {bound} {serialize_formula(formula.path)})"
-    if isinstance(formula, Next):
-        return f"(X {serialize_formula(formula.operand)})"
-    if isinstance(formula, Until):
-        return f"(U {serialize_formula(formula.left)} {serialize_formula(formula.right)})"
-    raise TypeError(f"not a formula: {formula!r}")
+            kids = [piece for kid in node.kids for piece in (" ", ropes[kid])]
+            ropes[node] = ("(" + _OPERATORS[type(node)], *kids, ")")
+    out: list[str] = []
+    stack = [ropes[formula]]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -532,23 +539,15 @@ class Evaluator:
     def _compile(self, formula: StateFormula) -> frozenset | None:
         """The head set of ``formula``, or None if it holds a probability operator.
 
-        On first use, fills ``head_sets`` for ``formula`` and its subformulas,
-        children first, from an explicit stack; a ``Prob`` is not entered, and
-        it and all above it map to None."""
+        On first use, fills ``head_sets`` for ``formula`` and its subformulas
+        through ``postorder``; a probability or path operator, and all above
+        it, map to None."""
         sets = self.head_sets
         if formula in sets:
             return sets[formula]
-        pending = [formula]
-        while pending:
-            f = pending[-1]
-            parts = (f.operand,) if isinstance(f, Not) else (f.left, f.right) if isinstance(f, And) else ()
-            missing = [part for part in parts if part not in sets]
-            if missing:
-                pending.extend(missing)
-                continue
-            pending.pop()
-            compiled = [sets[part] for part in parts]
-            if None in compiled:
+        for f in postorder(formula, sets):
+            compiled = [sets[kid] for kid in f.kids]
+            if None in compiled or isinstance(f, (Prob, Next, Until)):
                 sets[f] = None
             elif isinstance(f, Not):
                 sets[f] = self.universe - compiled[0]
@@ -557,7 +556,7 @@ class Evaluator:
             elif isinstance(f, Atom):
                 sets[f] = self.universe & {f.name}
             else:
-                sets[f] = self.universe if isinstance(f, TrueFormula) else None
+                sets[f] = self.universe
         return sets[formula]
 
     def _eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:

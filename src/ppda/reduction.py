@@ -250,6 +250,13 @@ class VariantKind(Enum):
     CF_SIMPLE = "cf-simple"
 
 
+# The longest chain of `n-chain K`: compile_instance writes K link rules, so
+# the cost grows linearly in K. On a 2-vCPU host `ppda certify` of 1,3 on
+# three_pairs.pcp took 0.10 s and 35 MB at K = 10,000 and 1.8 s and 169 MB at
+# K = 10^5 (in process), and a whole run at K = 10^6 took 28.9 s and 1.24 GB.
+MAX_CHAIN_LENGTH = 10_000
+
+
 @dataclass(frozen=True)
 class Variant:
     kind: VariantKind = VariantKind.DEFAULT
@@ -258,6 +265,8 @@ class Variant:
     def __post_init__(self) -> None:
         if self.kind is VariantKind.N_CHAIN and self.chain_length < 1:
             raise VariantFormatError("chain length must be at least 1")
+        if self.kind is VariantKind.N_CHAIN and self.chain_length > MAX_CHAIN_LENGTH:
+            raise VariantFormatError(f"chain length {self.chain_length} is over the limit of {MAX_CHAIN_LENGTH}")
 
     @classmethod
     def parse(cls, text: str) -> "Variant":
@@ -342,8 +351,8 @@ def build_top_formula(variant: Variant, phi1: PathFormula, phi2: PathFormula) ->
 
 
 # The formulas do not depend on the instance, only on the fixed letter
-# alphabet, so every artifact shares the same objects (this also keeps
-# evaluation caches warm across instances).
+# alphabet, so every artifact shares the same interned nodes; they are built
+# once, at import.
 PHI1 = build_phi1()
 PHI2 = build_phi2()
 _TOP_FORMULAS = {kind: build_top_formula(Variant(kind), PHI1, PHI2) for kind in VariantKind}

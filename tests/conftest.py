@@ -32,6 +32,17 @@ def small_bpas(draw) -> Bpa:
     return Bpa.make(rules)
 
 
+_pcp_words = st.text(alphabet="AB", max_size=3)
+
+
+@st.composite
+def pcp_instances(draw) -> reduction.PcpInstance:
+    """Instances of 1-3 pairs over words of at most 3 letters, not all empty."""
+    pairs = draw(st.lists(st.tuples(_pcp_words, _pcp_words), min_size=1, max_size=3)
+                 .filter(lambda ps: any(u or v for u, v in ps)))
+    return reduction.PcpInstance(tuple(pairs))
+
+
 def gen_from(table: dict, initial: str = "a") -> ChainGenerator:
     """The chain of ``table`` as a pBPA: each state is a one-symbol stack with a
     rule ``s -> t [p]`` per positive entry, and a state without a row loops on

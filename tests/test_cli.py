@@ -1,6 +1,9 @@
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ppda import cli, oracle, pctl, properties, pushdown, reduction
 from ppda.chain import InvalidPathError
@@ -391,6 +394,31 @@ class TestEval:
         assert capsys.readouterr().err == "error: zero denominator in bound '1/0' (at offset 7)\n"
 
 
+# Formula tokens, joined at random, so that most texts get part of the way
+# through the parser; arbitrary text, lone surrogates included, covers the rest.
+_FORMULA_PIECES = ["(", ")", " ", "true", "ap ", "X", "Y", "not ", "and ", "P> ", "P= ", "U ",
+                   "0", "1", "1/2", "2/1", "1/0", "-1", "?t/2", "?(1-t)/2"]
+_formula_texts = st.one_of(st.text(), st.lists(st.sampled_from(_FORMULA_PIECES), max_size=40).map("".join))
+
+
+class TestEvalFuzz:
+    @settings(max_examples=300)
+    @given(_formula_texts, st.sampled_from([None, "1/2"]))
+    def test_any_formula_text_exits_cleanly(self, tmp_path_factory, text, t):
+        base = tmp_path_factory.getbasetemp()
+        (base / "pop.bpa").write_text("X -> ~ [1]\n")
+        (base / "fuzz.pctl").write_text(text, encoding="utf-8", errors="surrogatepass")
+        argv = ["eval", "--model", str(base / "pop.bpa"), "--config", "X", "--formula", str(base / "fuzz.pctl")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ([] if t is None else ["--t", t]))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == "" and out.getvalue().startswith("verdict=")
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("error", [
         reduction.InstanceFormatError, reduction.DegenerateInstanceError, reduction.IndexRangeError,
@@ -406,7 +434,8 @@ class TestInputErrors:
     def test_cli_catches_only_input_errors(self):
         assert cli._INPUT_ERRORS == (PpdaInputError, OSError)
 
-    @pytest.mark.parametrize("text", ["bogus", "", "n-chain x", "n-chain 0", "n-chain 2 3", "default 1"])
+    @pytest.mark.parametrize("text", ["bogus", "", "n-chain x", "n-chain 0", "n-chain 10001", "n-chain 2 3",
+                                      "default 1"])
     def test_bad_variant_refused(self, tmp_path, p1_file, capsys, text):
         code = main(["compile", "--instance", p1_file, "--variant", text, "--out", str(tmp_path / "o")])
         assert code == 2

@@ -111,22 +111,11 @@ class TestSearchViaReduction:
             assert brute_force_pcp(instance, 3) == search_via_reduction(instance, 3)
 
 
-_pcp_words = st.text(alphabet="AB", max_size=3)
-
-
-@st.composite
-def _instances(draw) -> PcpInstance:
-    """Instances of 1-3 pairs over words of at most 3 letters, not all empty."""
-    pairs = draw(st.lists(st.tuples(_pcp_words, _pcp_words), min_size=1, max_size=3)
-                 .filter(lambda ps: any(u or v for u, v in ps)))
-    return PcpInstance(tuple(pairs))
-
-
 class TestSharedSession:
     """Search certifies every word of an instance in one session."""
 
     @settings(max_examples=60)
-    @given(_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
+    @given(conftest.pcp_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
     def test_session_reports_equal_cold_certify(self, instance, variant_text):
         variant = reduction.Variant.parse(variant_text)
         artifact = reduction.compile_instance(instance, variant)
@@ -137,7 +126,7 @@ class TestSharedSession:
             assert shared.formula_holds == shared.is_solution
 
     @settings(max_examples=60)
-    @given(_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
+    @given(conftest.pcp_instances(), st.sampled_from(["default", "cf-simple", "n-chain 2"]))
     def test_search_equals_brute_force(self, instance, variant_text):
         variant = reduction.Variant.parse(variant_text)
         assert search_via_reduction(instance, 3, variant=variant) == brute_force_pcp(instance, 3)

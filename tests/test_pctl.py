@@ -1,4 +1,6 @@
+import copy
 import gc
+import pickle
 import random
 import weakref
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SYMBOLS, gen_from, small_bpas
+from ppda import reduction
 from ppda.chain import Budget, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
@@ -31,6 +34,7 @@ from ppda.pctl import (
     _least_fixed_point,
     compare,
     disjunction,
+    has_placeholder,
     kleene_not,
     parse_formula,
     parse_path_formula,
@@ -131,7 +135,58 @@ def _formulas():
 
 @given(_formulas())
 def test_serialize_parse_round_trip(formula):
-    assert parse_formula(serialize_formula(formula)) == formula
+    assert parse_formula(serialize_formula(formula)) is formula
+
+
+def _negations(formula, depth: int):
+    for _ in range(depth):
+        formula = Not(formula)
+    return formula
+
+
+DEEP = 100_000
+
+
+class TestInterning:
+    """Formula nodes are hash-consed: equal formulas are one object."""
+
+    def test_equal_nodes_are_one_object(self):
+        assert Atom("C") is Atom("C")
+        assert And(Atom("C"), TRUE_FORMULA) is parse_formula("(and (ap C) true)")
+        assert Not(Atom("C")) is not Next(Atom("C"))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda f: pickle.loads(pickle.dumps(f))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_return_the_interned_node(self, clone):
+        formula = parse_formula("(P= ?t/2 (U (not (ap F)) (ap C)))")
+        assert clone(formula) is formula
+
+    def test_nodes_are_immutable(self):
+        atom = Atom("C")
+        with pytest.raises(AttributeError):
+            atom.name = "F"
+        with pytest.raises(AttributeError):
+            del atom.name
+        assert atom.name == "C" and repr(Not(atom)) == "Not(operand=Atom(name='C'))"
+
+    def test_separately_built_deep_chain_evaluates_in_one_session(self):
+        gen = gen_from({"a": [("a", Fraction(1))]})
+        session = Evaluator(gen, BUDGET)
+        assert session.eval_state("a", _negations(Atom("a"), DEEP)) is TRUE
+        assert session.eval_state("a", _negations(Atom("a"), DEEP)) is TRUE
+
+    def test_deep_chain_serializes_and_its_text_is_refused(self):
+        text = serialize_formula(_negations(Atom("a"), DEEP))
+        assert text == "(not " * DEEP + "(ap a)" + ")" * DEEP
+        with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+            parse_formula(text)
+
+    def test_deep_template_instantiates(self):
+        template = _negations(Prob(Comparison.EQ, BoundPlaceholder.T_HALF, Next(TRUE_FORMULA)), DEEP)
+        assert has_placeholder(template)
+        concrete = reduction.instantiate_formula(template, H)
+        assert concrete is _negations(Prob(Comparison.EQ, Fraction(1, 4), Next(TRUE_FORMULA)), DEEP)
+        assert not has_placeholder(concrete)
 
 
 class TestCompare:
@@ -177,11 +232,9 @@ class TestEvalState:
         assert forward is Evaluator(gen, BUDGET).eval_state("a", And(right, left))
 
     def test_deep_negation_chain_built_in_code(self):
-        # Each node hashes once, when it is built, and propositional formulas
-        # compile from an explicit stack, so depth costs no recursion.
-        formula = Atom("a")
-        for _ in range(100_000):
-            formula = Not(formula)
+        # Propositional formulas compile through postorder, which keeps an
+        # explicit stack, so depth costs no recursion.
+        formula = _negations(Atom("a"), DEEP)
         gen = gen_from({"a": [("a", Fraction(1))]})
         assert Evaluator(gen, BUDGET).eval_state("a", formula) is TRUE
         assert Evaluator(gen, BUDGET).eval_state("a", Not(formula)) is FALSE

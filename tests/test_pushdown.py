@@ -129,6 +129,10 @@ class TestModelText:
         assert parse_model(text) == p1_artifact.bpa
         assert serialize_model(parse_model(text)) == text
 
+    @given(small_bpas())
+    def test_round_trip_property(self, model):
+        assert parse_model(serialize_model(model)) == model
+
     def test_syntax_error_line_number(self):
         with pytest.raises(ModelSyntaxError) as info:
             parse_model("X -> ~ [1]\nY -> oops\n")

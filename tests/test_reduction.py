@@ -105,6 +105,10 @@ class TestInstanceText:
     def test_round_trip(self, p1):
         assert parse_instance(serialize_instance(p1)) == p1
 
+    @given(conftest.pcp_instances())
+    def test_round_trip_property(self, instance):
+        assert parse_instance(serialize_instance(instance)) == instance
+
     def test_arity_error(self):
         with pytest.raises(InstanceFormatError):
             parse_instance("A B C\n")
@@ -394,6 +398,7 @@ class TestVariants:
         assert Variant.parse("cf-simple").kind is VariantKind.CF_SIMPLE
         assert Variant.parse("n-chain 3") == Variant(VariantKind.N_CHAIN, 3)
         assert Variant.parse("n-chain:2") == Variant(VariantKind.N_CHAIN, 2)
+        assert Variant.parse("n-chain 10000") == Variant(VariantKind.N_CHAIN, reduction.MAX_CHAIN_LENGTH)
         with pytest.raises(ValueError):
             Variant.parse("bogus")
 
