@@ -65,11 +65,8 @@ from .reduction import (
     theta_bar,
 )
 from .oracle import (
-    Corpus,
     brute_force_pcp,
-    corpus_check,
     enumerate_until_probability,
-    load_corpus,
     search_via_reduction,
 )
 

@@ -3,20 +3,17 @@
 The enumeration here deliberately shares no traversal machinery with the
 bounded evaluator: until-probabilities are summed path by path without
 memoization, and the solution search concatenates words directly. Any
-disagreement with the main pipeline is a bug, and the corpus harness checks
-exactly that.
+disagreement with the main pipeline is a bug, and ``ppda search --engine
+both`` checks exactly that.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 from typing import Callable
 
 from .chain import ChainGenerator, ChainState
-from .errors import PpdaInputError, read_text
+from .errors import PpdaInputError
 from .reduction import (
     DEFAULT_VARIANT,
     PcpInstance,
@@ -24,9 +21,6 @@ from .reduction import (
     certify,
     check_solution,
     compile_instance,
-    format_index_word,
-    load_instance,
-    parse_index_word,
     sweep_session,
 )
 
@@ -38,10 +32,6 @@ StatePredicate = Callable[[ChainState], bool]
 class UnresolvedPathError(RuntimeError):
     """Some path did not resolve within the depth bound; the oracle refuses
     to guess."""
-
-
-class CorpusError(PpdaInputError):
-    pass
 
 
 def index_words(n: int, max_k: int):
@@ -114,107 +104,3 @@ def search_via_reduction(
             return word
     return None
 
-
-# ---------------------------------------------------------------------------
-# Corpus harness
-
-
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    instance: PcpInstance
-    solvable: bool
-    witness: tuple[int, ...] | None
-    unsolvable_bound: int | None
-
-
-@dataclass(frozen=True)
-class Corpus:
-    entries: tuple[CorpusEntry, ...]
-
-
-def load_corpus(path) -> Corpus:
-    """Read a corpus listing: ``FILE solvable WORD`` or ``FILE unsolvable-up-to K``.
-
-    Paths are resolved relative to the listing file; recorded witnesses are
-    verified on the spot and a bad witness rejects the whole corpus.
-    """
-    base = Path(path).parent
-    entries: list[CorpusEntry] = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise CorpusError(f"line {line_no}: expected 'FILE STATUS ARG'")
-        name, status, arg = tokens
-        instance = load_instance(base / name)
-        if status == "solvable":
-            witness = parse_index_word(arg)
-            if not check_solution(instance, witness):
-                raise CorpusError(
-                    f"line {line_no}: recorded witness {arg} is not a solution of {name}"
-                )
-            entries.append(CorpusEntry(name, instance, True, witness, None))
-        elif status == "unsolvable-up-to":
-            try:
-                bound = int(arg)
-            except ValueError:
-                raise CorpusError(f"line {line_no}: bound must be an integer, got {arg!r}") from None
-            entries.append(CorpusEntry(name, instance, False, None, bound))
-        else:
-            raise CorpusError(f"line {line_no}: unknown status {status!r}")
-    return Corpus(tuple(entries))
-
-
-@dataclass(frozen=True)
-class CorpusRow:
-    name: str
-    brute: tuple[int, ...] | None
-    reduced: tuple[int, ...] | None
-    agree: bool
-    matches_status: bool
-    elapsed: float
-
-
-@dataclass(frozen=True)
-class CorpusReport:
-    rows: tuple[CorpusRow, ...]
-    max_k: int
-
-    @property
-    def all_agree(self) -> bool:
-        return all(row.agree and row.matches_status for row in self.rows)
-
-    def render(self) -> str:
-        def show(word) -> str:
-            return format_index_word(word) if word else f"none up to {self.max_k}"
-
-        lines = [f"{'instance':24} {'brute':>12} {'reduction':>12} {'agree':>6} {'time':>8}"]
-        for row in self.rows:
-            lines.append(
-                f"{row.name:24} {show(row.brute):>12} {show(row.reduced):>12} "
-                f"{'yes' if row.agree else 'NO':>6} {row.elapsed:7.3f}s"
-            )
-        return "\n".join(lines) + "\n"
-
-
-def corpus_check(corpus: Corpus, max_k: int) -> CorpusReport:
-    """Run both search procedures over every entry and compare."""
-    rows = []
-    for entry in corpus.entries:
-        started = time.monotonic()
-        brute = brute_force_pcp(entry.instance, max_k)
-        reduced = search_via_reduction(entry.instance, max_k)
-        agree = brute == reduced
-        if entry.solvable and len(entry.witness or ()) <= max_k:
-            matches = brute is not None and check_solution(entry.instance, brute)
-        elif not entry.solvable and (entry.unsolvable_bound or 0) >= max_k:
-            matches = brute is None
-        else:
-            matches = True
-        rows.append(
-            CorpusRow(entry.name, brute, reduced, agree, matches, time.monotonic() - started)
-        )
-    return CorpusReport(tuple(rows), max_k)

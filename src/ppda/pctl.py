@@ -133,13 +133,28 @@ class _Node:
 
     __delattr__ = __setattr__
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # pickle and copy rebuild through __new__, which returns the interned node.
+        # pickle rebuilds through __new__, which returns the interned node. It
+        # walks the fields by recursion, so a formula deeper than the
+        # interpreter's recursion limit cannot be pickled; no caller pickles one.
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        ropes: dict = {}
+        for node in postorder(self, ropes):
+            fields = []
+            for name in node.__slots__:
+                value = getattr(node, name)
+                text = ropes[value] if isinstance(value, _Node) else repr(value)
+                fields += [", " if fields else "", f"{name}=", text]
+            ropes[node] = (f"{type(node).__name__}(", *fields, ")")
+        return _flatten(ropes[self])
 
 
 class TrueFormula(_Node):
@@ -395,10 +410,23 @@ def parse_path_formula(text: str) -> PathFormula:
     return scanner.finish(scanner.path_formula())
 
 
+def _flatten(rope) -> str:
+    """The text of a rope: a string, or a tuple of ropes. A formula's text is
+    built as one rope per node holding its children's ropes, and flattened
+    once from an explicit stack: a string per node would copy each subtree's
+    text once per ancestor, which is quadratic in depth."""
+    out: list[str] = []
+    stack = [rope]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
+
+
 def serialize_formula(formula) -> str:
-    # Each node's text is a rope, a tuple of strings and its children's ropes,
-    # flattened once from an explicit stack: a string per node would copy each
-    # subtree's text once per ancestor, which is quadratic in depth.
     ropes: dict = {}
     for node in postorder(formula, ropes):
         if isinstance(node, Atom):
@@ -411,15 +439,7 @@ def serialize_formula(formula) -> str:
         else:
             kids = [piece for kid in node.kids for piece in (" ", ropes[kid])]
             ropes[node] = ("(" + _OPERATORS[type(node)], *kids, ")")
-    out: list[str] = []
-    stack = [ropes[formula]]
-    while stack:
-        piece = stack.pop()
-        if isinstance(piece, str):
-            out.append(piece)
-        else:
-            stack.extend(reversed(piece))
-    return "".join(out)
+    return _flatten(ropes[formula])
 
 
 # ---------------------------------------------------------------------------

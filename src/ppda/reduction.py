@@ -15,6 +15,7 @@ cursors ``G(i,j)``, and the padding letter is ``_``.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -159,7 +160,10 @@ def _check_indices(instance: PcpInstance, word) -> tuple[int, ...]:
 
 def check_solution(instance: PcpInstance, word) -> bool:
     """Do the selected u-words and v-words concatenate to the same string?"""
-    word = _check_indices(instance, word)
+    return _solves(instance, _check_indices(instance, word))
+
+
+def _solves(instance: PcpInstance, word: tuple[int, ...]) -> bool:
     u = "".join(instance.pairs[j - 1][0] for j in word)
     v = "".join(instance.pairs[j - 1][1] for j in word)
     return u == v
@@ -285,6 +289,10 @@ class Variant:
             try:
                 length = int(tokens[1]) if len(tokens) > 1 else 1
             except ValueError:
+                if re.fullmatch(r"[+-]?\d+", tokens[1]):  # a numeral, so only the digit limit refuses it
+                    raise VariantFormatError(
+                        f"chain length of {len(tokens[1])} characters exceeds the interpreter's integer digit limit"
+                    ) from None
                 raise VariantFormatError(f"chain length must be an integer, got {tokens[1]!r}") from None
             return cls(kind, length)
         if len(tokens) > 1:
@@ -454,8 +462,7 @@ def compile_instance(instance: PcpInstance, variant: Variant = DEFAULT_VARIANT) 
 # Guessed configurations
 
 
-def _guess_stack(instance: PcpInstance, word) -> tuple[str, ...]:
-    padded = pad(instance)
+def _guess_stack(padded: PaddedInstance, word: tuple[int, ...]) -> tuple[str, ...]:
     symbols: list[str] = ["Z'"]
     for j in word:
         u, v = padded.pairs[j - 1]
@@ -472,7 +479,7 @@ def guess_config(instance: PcpInstance, word) -> Configuration:
     top), followed by the bottom marker.
     """
     word = _check_indices(instance, word)
-    return Configuration(("C",) + _guess_stack(instance, word))
+    return Configuration(("C",) + _guess_stack(pad(instance), word))
 
 
 def guess_path(instance: PcpInstance, word) -> FinitePath:
@@ -548,7 +555,7 @@ def sweep_session(artifact: ReductionArtifact, max_k: int) -> pctl.Evaluator:
 
 def check_config(artifact: ReductionArtifact, word) -> Configuration:
     word = _check_indices(artifact.instance, word)
-    return Configuration((artifact.check_head,) + _guess_stack(artifact.instance, word))
+    return Configuration((artifact.check_head,) + _guess_stack(artifact.padded, word))
 
 
 def certify(
@@ -556,7 +563,7 @@ def certify(
     word,
     *,
     artifact: ReductionArtifact | None = None,
-    variant: Variant = DEFAULT_VARIANT,
+    variant: Variant | None = None,
     session: pctl.Evaluator | None = None,
 ) -> CertifyReport:
     """Exact certification of one guess against the until-formulas.
@@ -569,26 +576,29 @@ def certify(
     phi1/phi2 are propositional, so a session without a budget gives both
     values exactly.
 
-    A caller sweeping many words of one instance may pass a shared
-    ``session``, the artifact's ``sweep_session``; popping chains of
-    different words share suffixes, so the session cache cuts most of the
-    work.
+    Without an ``artifact`` the instance is compiled under ``variant``
+    (default: ``DEFAULT_VARIANT``). A caller sweeping many words of one
+    instance may pass its ``artifact`` and a shared ``session``, the
+    artifact's ``sweep_session``; popping chains of different words share
+    suffixes, so the session cache cuts most of the work.
     """
     if artifact is None:
-        artifact = compile_instance(instance, variant)
+        artifact = compile_instance(instance, variant or DEFAULT_VARIANT)
+    elif artifact.instance != instance or variant not in (None, artifact.variant):
+        raise ValueError("an artifact must be compiled from this instance, under the variant given")
     word = _check_indices(instance, word)
     if session is None:
         session = pctl.Evaluator(artifact.chain, None)
     elif session.gen is not artifact.chain or session.budget is not None:
         raise ValueError("a session must be this artifact's sweep_session, without a budget")
-    state = check_config(artifact, word).encode()
+    state = Configuration((artifact.check_head,) + _guess_stack(artifact.padded, word)).encode()
     p1 = session.prob_until(state, artifact.phi1.left, artifact.phi1.right).lo
     p2 = session.prob_until(state, artifact.phi2.left, artifact.phi2.right).lo
     t = 2 * p1
     holds = p1 == t / 2 and p2 == (1 - t) / 2
     return CertifyReport(
         word=word,
-        is_solution=check_solution(instance, word),
+        is_solution=_solves(instance, word),
         t=t,
         p_phi1_at_N=p1,
         p_phi2_at_N=p2,

@@ -425,8 +425,7 @@ class TestInputErrors:
         reduction.MalformedWordError, reduction.DomainError, reduction.TRangeError,
         reduction.VariantFormatError, pctl.FormulaSyntaxError, pctl.BoundRangeError,
         pctl.PlaceholderError, pushdown.ModelSyntaxError, pushdown.UnknownSymbolError,
-        pushdown.InvalidModelError, RationalFormatError, InvalidPathError, oracle.CorpusError,
-        InputEncodingError,
+        pushdown.InvalidModelError, RationalFormatError, InvalidPathError, InputEncodingError,
     ])
     def test_input_errors_share_one_base(self, error):
         assert issubclass(error, PpdaInputError) and issubclass(error, ValueError)
@@ -435,12 +434,13 @@ class TestInputErrors:
         assert cli._INPUT_ERRORS == (PpdaInputError, OSError)
 
     @pytest.mark.parametrize("text", ["bogus", "", "n-chain x", "n-chain 0", "n-chain 10001", "n-chain 2 3",
-                                      "default 1"])
+                                      "default 1", pytest.param("n-chain " + "9" * 5000, id="n-chain 5000 nines")])
     def test_bad_variant_refused(self, tmp_path, p1_file, capsys, text):
         code = main(["compile", "--instance", p1_file, "--variant", text, "--out", str(tmp_path / "o")])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
 
     @pytest.mark.parametrize("flags", [["--max-states", "0"], ["--max-depth", "-1"]])
     def test_non_positive_budget_refused(self, tmp_path, capsys, flags):

@@ -6,15 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import conftest
 from ppda import pctl, reduction
-from ppda.data import corpus_path
 from ppda.oracle import (
-    CorpusError,
     UnresolvedPathError,
     brute_force_pcp,
-    corpus_check,
     enumerate_until_probability,
     index_words,
-    load_corpus,
     search_via_reduction,
 )
 from ppda.reduction import PcpInstance
@@ -131,47 +127,3 @@ class TestSharedSession:
         variant = reduction.Variant.parse(variant_text)
         assert search_via_reduction(instance, 3, variant=variant) == brute_force_pcp(instance, 3)
 
-
-class TestCorpus:
-    def test_bundled_corpus_loads(self):
-        corpus = load_corpus(corpus_path())
-        assert len(corpus.entries) == 8
-        solvable = [e for e in corpus.entries if e.solvable]
-        assert all(reduction.check_solution(e.instance, e.witness) for e in solvable)
-
-    def test_mislabeled_witness_rejected(self, tmp_path):
-        (tmp_path / "bad.pcp").write_text("A B\n")
-        listing = tmp_path / "corpus.txt"
-        listing.write_text("bad.pcp solvable 1\n")
-        with pytest.raises(CorpusError):
-            load_corpus(listing)
-
-    def test_unknown_status_rejected(self, tmp_path):
-        (tmp_path / "x.pcp").write_text("A A\n")
-        listing = tmp_path / "corpus.txt"
-        listing.write_text("x.pcp maybe 1\n")
-        with pytest.raises(CorpusError):
-            load_corpus(listing)
-
-    def test_unsolvable_bound_must_be_an_integer(self, tmp_path):
-        (tmp_path / "x.pcp").write_text("A B\n")
-        listing = tmp_path / "corpus.txt"
-        listing.write_text("x.pcp unsolvable-up-to four\n")
-        with pytest.raises(CorpusError, match="line 1: bound must be an integer"):
-            load_corpus(listing)
-
-    def test_corpus_check_agrees(self):
-        corpus = load_corpus(corpus_path())
-        report = corpus_check(corpus, max_k=4)
-        assert report.all_agree
-        assert len(report.rows) == 8
-        rendered = report.render()
-        assert "overlap_shift.pcp" in rendered
-        assert "NO" not in rendered
-
-    def test_empty_corpus(self, tmp_path):
-        listing = tmp_path / "corpus.txt"
-        listing.write_text("# nothing here\n")
-        report = corpus_check(load_corpus(listing), max_k=2)
-        assert report.rows == ()
-        assert report.all_agree

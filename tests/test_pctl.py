@@ -175,6 +175,13 @@ class TestInterning:
         assert session.eval_state("a", _negations(Atom("a"), DEEP)) is TRUE
         assert session.eval_state("a", _negations(Atom("a"), DEEP)) is TRUE
 
+    def test_deep_chain_deepcopies_to_itself(self):
+        deep = _negations(Atom("a"), DEEP)
+        assert copy.deepcopy(deep) is deep
+
+    def test_deep_chain_reprs(self):
+        assert repr(_negations(Atom("a"), DEEP)) == "Not(operand=" * DEEP + "Atom(name='a')" + ")" * DEEP
+
     def test_deep_chain_serializes_and_its_text_is_refused(self):
         text = serialize_formula(_negations(Atom("a"), DEEP))
         assert text == "(not " * DEEP + "(ap a)" + ")" * DEEP

@@ -338,6 +338,15 @@ class TestCertify:
         with pytest.raises(ValueError, match="sweep_session, without a budget"):
             certify(p1, (1, 2), artifact=p1_artifact, session=pctl.Evaluator(chain, budget))
 
+    def test_artifact_must_be_compiled_from_the_instance(self, p1_artifact):
+        with pytest.raises(ValueError, match="compiled from this instance"):
+            certify(PcpInstance((("AB", "A"),)), (1,), artifact=p1_artifact)
+
+    def test_variant_must_be_the_artifacts(self, p1, p1_artifact):
+        with pytest.raises(ValueError, match="under the variant given"):
+            certify(p1, (1, 2), artifact=p1_artifact, variant=Variant.parse("cf-simple"))
+        assert certify(p1, (1, 2), artifact=p1_artifact, variant=Variant()) == certify(p1, (1, 2), variant=Variant())
+
     def test_unsolvable_top_formula_unknown_at_any_budget(self, unsolvable):
         artifact = compile_instance(unsolvable)
         for t in (F(1, 2), F(3, 4)):
