@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PpdaInputError
+from .errors import PpdaInputError, quote
 from .pushdown import ChainGenerator
 
 ChainState = str
@@ -60,7 +60,7 @@ def path_probability(gen: ChainGenerator, path: FinitePath) -> Fraction:
     for src, dst in zip(path.states, path.states[1:]):
         p = dict(gen.successors(src)).get(dst)
         if p is None:
-            raise InvalidPathError(f"no transition {src!r} -> {dst!r}")
+            raise InvalidPathError(f"no transition {quote(src)} -> {quote(dst)}")
         prob *= p
     return prob
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import oracle, pctl, properties, reduction
 from .chain import Budget
-from .errors import PpdaInputError, read_text
+from .errors import QUOTE_LIMIT, PpdaInputError, quote, read_text
 from .pctl import has_placeholder, parse_formula, serialize_formula
 from .pushdown import Configuration, induced_chain, parse_model, serialize_model
 from .rationals import parse_rational
@@ -146,9 +146,10 @@ def _cmd_lemmas(args) -> int:
         if max_n < 1 or max_m < 1 or max_k < 1:
             raise ValueError
     except ValueError:
-        raise PpdaInputError(f"--sizes must be 'n,m,k' with positive integers, got {args.sizes!r}") from None
+        raise PpdaInputError(f"--sizes must be 'n,m,k' with positive integers, got {quote(args.sizes)}") from None
     if max_n > MAX_LEMMA_PAIRS or max_m * max_k > MAX_LEMMA_STACK:
-        raise PpdaInputError(f"--sizes {args.sizes} is over the limits n <= {MAX_LEMMA_PAIRS} "
+        shown = args.sizes if len(args.sizes) <= QUOTE_LIMIT else quote(args.sizes)
+        raise PpdaInputError(f"--sizes {shown} is over the limits n <= {MAX_LEMMA_PAIRS} "
                              f"and m*k <= {MAX_LEMMA_STACK}")
     failures = 0
     for name, failure in properties.run_suite(args.seed, max_n, max_m, max_k):

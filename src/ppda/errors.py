@@ -3,9 +3,22 @@
 Every error that malformed or out-of-range input raises is a
 ``PpdaInputError``, which is also a ``ValueError``. The command line
 reports exactly these (and ``OSError``) as usage errors with exit 2; any
-other exception is an internal fault and escapes.
+other exception is an internal fault and escapes. A message quotes raw
+input through ``quote``, so its length stays bounded whatever the input.
 """
 from __future__ import annotations
+
+
+# The most characters of raw input an error message quotes.
+QUOTE_LIMIT = 40
+
+
+def quote(text: str) -> str:
+    """``repr(text)``, or, past ``QUOTE_LIMIT`` characters, the repr of its
+    first ``QUOTE_LIMIT`` characters followed by its length."""
+    if len(text) <= QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
 
 
 class PpdaInputError(ValueError):

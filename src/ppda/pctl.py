@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .chain import Budget, ChainState, Exploration
-from .errors import PpdaInputError
+from .errors import PpdaInputError, quote
 from .pushdown import ChainGenerator, Configuration, UnknownSymbolError
 from .rationals import format_rational
 
@@ -343,11 +343,9 @@ class _Scanner:
         try:
             value = Fraction(token)
         except ZeroDivisionError:
-            raise self.error(f"zero denominator in bound {token!r}") from None
+            raise self.error(f"zero denominator in bound {quote(token)}") from None
         except ValueError:
             raise self.error(f"bound of {len(token)} characters exceeds the interpreter's integer digit limit") from None
-        if not 0 <= value <= 1:
-            raise BoundRangeError(f"probability bound {token} outside [0,1]")
         return value
 
     def state_formula(self) -> StateFormula:
@@ -375,7 +373,7 @@ class _Scanner:
             path = self.path_formula()
             self.expect_close()
             return Prob(Comparison(kw[1]), bound, path)
-        raise self.error(f"unknown state operator {kw!r}")
+        raise self.error(f"unknown state operator {quote(kw)}")
 
     def path_formula(self) -> PathFormula:
         self.skip_ws()
@@ -385,7 +383,7 @@ class _Scanner:
         kw = self.keyword()
         if kw in _PATH_OPERATORS:
             return self.operands(_PATH_OPERATORS[kw])
-        raise self.error(f"unknown path operator {kw!r}")
+        raise self.error(f"unknown path operator {quote(kw)}")
 
     def operands(self, cls):
         """The state-formula operands of ``cls``, one per field, and the ')'."""
@@ -505,13 +503,16 @@ class Evaluator:
     an earlier query is a sink of later ones, so it can tighten them. A
     session may be reused across formulas and query states.
 
-    An until whose operands both compile to head sets has positive
-    probability at a state exactly when its per-symbol summaries say so
-    (``_positive``), whatever the budget. So ``P>0`` and ``P=0`` over it
-    are always True or False, and in a budgeted session ``prob_until``
-    returns the point 0 at a state where it is zero without walking (an
-    unbudgeted walk is exact anyway). ``support[(f1, f2)]`` maps each
-    stack symbol solved so far to its pair of summaries.
+    An until whose operands both compile to head sets has Boolean
+    per-symbol summaries: ``support[(f1, f2)]`` maps each stack symbol
+    solved so far to its ``(a, t)``. ``_solve_support`` finds them with a
+    monotone worklist over the rules of the symbols a query's stack
+    reaches, and ``_fold`` composes them over a stack word, so the until
+    has positive probability at a state exactly when the fold of its stack
+    says so (``_positive``), whatever the budget. So ``P>0`` and ``P=0``
+    over it are always True or False, and in a budgeted session
+    ``prob_until`` returns the point 0 at a state where it is zero without
+    walking (an unbudgeted walk is exact anyway).
 
     Until-queries are demand-driven: each query state's breadth-first
     region is advanced only as far as the states the query walks to, and
@@ -729,30 +730,23 @@ class Evaluator:
         """Whether ``P(f1 U f2) > 0`` at ``state``, exactly; None unless both operands
         compile to head sets.
 
-        For a stack symbol X, ``a_X > 0`` says that the run of X can satisfy
-        the until before X is popped, and ``t_X > 0`` that X can be popped
-        with f1 holding throughout and f2 never. A stack X1...Xn has
-        positive probability iff some Xi has ``a > 0`` and every symbol above
-        it has ``t > 0``, or every symbol has ``t > 0`` and f2 holds on the
-        empty stack. The fold stops at the first symbol that settles it; at
-        its first unsolved symbol, it solves the stack's unsolved symbols.
+        ``support[(f1, f2)]`` maps a stack symbol X to its summary ``(a, t)``:
+        whether the run of X can satisfy the until before X is popped, and
+        whether X can be popped with f1 holding throughout and f2 never. The
+        answer is the ``a`` of ``_fold`` of the query stack over the empty
+        stack, whose ``a`` is whether f2 holds there. When the fold meets a
+        symbol not solved yet, ``_solve_support`` solves the stack's symbols.
         """
         h1, h2 = self._compile(f1), self._compile(f2)
         if h1 is None or h2 is None:
             return None
         table = self.support.setdefault((f1, f2), {})
         stack = Configuration.parse(state).stack
-        for symbol in stack:
-            summary = table.get(symbol)
-            if summary is None:
-                _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack)
-                summary = table[symbol]
-            reaches, passes = summary
-            if reaches:
-                return True
-            if not passes:
-                return False
-        return None in h2
+        try:
+            return _fold(stack, table, (None in h2, False))[0]
+        except KeyError:
+            _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack)
+            return _fold(stack, table, (None in h2, False))[0]
 
     def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
         """Decide ``P>0 (f1 U f2)`` at ``state`` without solving.
@@ -781,76 +775,60 @@ class Evaluator:
         return UNKNOWN if maybe else FALSE
 
 
+def _fold(word, table: dict, tail: tuple[bool, bool]) -> tuple[bool, bool]:
+    """The summary ``(a, t)`` of the stack ``word`` on top of one summarized by
+    ``tail``, from the summaries in ``table``: ``X·w`` is
+    ``(a_X or (t_X and a_w), t_X and t_w)``. It reads ``word`` top first and
+    stops at the first symbol that cannot be popped, as nothing below it
+    matters; a symbol missing from ``table`` raises ``KeyError``."""
+    a, t = False, True
+    for x in word:
+        a_x, t_x = table[x]
+        a, t = a or a_x, t_x
+        if not t:
+            return a, False
+    return a or tail[0], tail[1]
+
+
 def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...]) -> None:
-    """Extend ``table``, symbol -> (a > 0, t > 0) for one until, to the unsolved
+    """Extend ``table``, symbol -> ``(a, t)`` for one until, to the unsolved
     ``roots`` and the unsolved symbols they reach.
 
-    These are the Boolean least solution of the summary equations
-    (Esparza, Kucera and Mayr, LICS 2004): a symbol in H_f2 has ``a``; one
-    in H_f1 and not in H_f2 gets ``t`` from a rule ``X -> ~``, both from
-    ``X -> Y`` if Y has them, ``a`` from ``X -> Y W`` if Y has ``a`` or Y has
-    ``t`` and W has ``a``, and ``t`` from it if both have ``t``; nothing
-    else holds. Only the rules of such symbols are read, and each becomes
-    Horn clauses whose premises are facts ``(0, Y)`` (``a_Y``) and
-    ``(1, Y)`` (``t_Y``). A clause waits on its premises among the new
-    symbols, and each fact derived is propagated once, after every clause
-    is built, so the cost is linear in the rules read. Symbols already in
-    ``table`` are final, because every solve closes over the symbols its
-    rules reach.
+    These are the least solution of the Boolean summary equations (Esparza,
+    Kucera and Mayr, LICS 2004): a symbol in H_f2 is ``(True, False)``, one
+    outside H_f1 and H_f2 is ``(False, False)``, and one in H_f1 and not in
+    H_f2 is the OR over its rules of the ``_fold`` of the rule's body over
+    the pop, ``(False, True)``. Only the rules of that last kind of symbol
+    are read. Each new symbol starts at ``(x in H_f2, False)`` and every
+    (symbol, body) pair is queued; folding a pair ORs its body's summary into
+    its symbol's, and a rise queues again the pairs whose body holds the
+    symbol. Summaries only rise, at most twice each, so a body is folded at
+    most ``1 + 2·len(body)`` times. Symbols already in ``table`` are final,
+    because every solve closes over the symbols its rules reach.
     """
-    new = {x for x in roots if x not in table}
-    derived: set[tuple[int, str]] = set()
-    fired: list[tuple[int, str]] = []
-    waiting: dict[tuple[int, str], list[list]] = {}
-
-    def clause(fact: tuple[int, str], *premises: tuple[int, str]) -> None:
-        open_premises = []
-        for kind, y in premises:
-            if y in new:
-                open_premises.append((kind, y))
-            elif not table[y][kind]:
-                return
-        if open_premises:
-            entry = [len(open_premises), fact]
-            for premise in open_premises:
-                waiting.setdefault(premise, []).append(entry)
-        elif fact not in derived:
-            derived.add(fact)
-            fired.append(fact)
-
-    pending = list(new)
+    new = {x: (x in h2, False) for x in roots if x not in table}
+    pending, queue, readers = list(new), [], {}
     while pending:
         x = pending.pop()
-        if x in h2:
-            clause((0, x))
-        elif x in h1:
-            rules = rules_by_head.get(x)
-            if rules is None:
-                raise UnknownSymbolError(x)
-            for rule in rules:
-                for y in rule.body:
-                    if y not in new and y not in table:
-                        new.add(y)
-                        pending.append(y)
-                if not rule.body:
-                    clause((1, x))
-                elif len(rule.body) == 1:
-                    y, = rule.body
-                    clause((0, x), (0, y))
-                    clause((1, x), (1, y))
-                else:
-                    y, w = rule.body
-                    clause((0, x), (0, y))
-                    clause((0, x), (1, y), (0, w))
-                    clause((1, x), (1, y), (1, w))
-    while fired:
-        for entry in waiting.pop(fired.pop(), ()):
-            entry[0] -= 1
-            if entry[0] == 0 and entry[1] not in derived:
-                derived.add(entry[1])
-                fired.append(entry[1])
-    for x in new:
-        table[x] = ((0, x) in derived, (1, x) in derived)
+        if x in h2 or x not in h1:
+            continue
+        rules = rules_by_head.get(x)
+        if rules is None:
+            raise UnknownSymbolError(x)
+        for rule in rules:
+            queue.append((x, rule.body))
+            for y in rule.body:
+                readers.setdefault(y, []).append(queue[-1])
+                if y not in new and y not in table:
+                    new[y] = (y in h2, False)
+                    pending.append(y)
+    table.update(new)
+    while queue:
+        x, body = queue.pop()
+        (a, t), (body_a, body_t) = table[x], _fold(body, table, (False, True))
+        if (body_a and not a) or (body_t and not t):
+            table[x] = (a or body_a, t or body_t)
+            queue.extend(readers.get(x, ()))
 
 
 def _least_fixed_point(

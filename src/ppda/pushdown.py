@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PpdaInputError
+from .errors import QUOTE_LIMIT, PpdaInputError, quote
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 ONE = Fraction(1)
@@ -42,7 +42,7 @@ class UnknownSymbolError(PpdaInputError):
     """A configuration holds a symbol that is not in the model's stack alphabet."""
 
     def __init__(self, symbol: str) -> None:
-        super().__init__(f"unknown stack symbol {symbol!r}: the model has no rule for it")
+        super().__init__(f"unknown stack symbol {quote(symbol)}: the model has no rule for it")
 
 
 class InvalidModelError(PpdaInputError):
@@ -195,12 +195,18 @@ class ChainGenerator:
 def induced_chain(model: Bpa, start: Configuration) -> ChainGenerator:
     """The Markov chain over configurations from ``start``, labelled by the head.
 
-    Raises ``UnknownSymbolError`` if ``start`` holds a symbol outside the
-    model's alphabet.
+    Raises ``InvalidModelError`` naming the first three violations of
+    ``validate_model`` and how many more there are, and
+    ``UnknownSymbolError`` if ``start`` holds a symbol outside the model's
+    alphabet.
     """
     problems = validate_model(model)
     if problems:
-        raise InvalidModelError("invalid model: " + "; ".join(f"{v.subject}: {v.reason}" for v in problems))
+        shown = [f"{v.subject if len(v.subject) <= QUOTE_LIMIT else quote(v.subject)}: {v.reason}"
+                 for v in problems[:3]]
+        if len(problems) > 3:
+            shown.append(f"and {len(problems) - 3} more")
+        raise InvalidModelError("invalid model: " + "; ".join(shown))
     known = set(model.alphabet)
     for symbol in start.stack:
         if symbol not in known:

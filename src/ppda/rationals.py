@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import PpdaInputError
+from .errors import PpdaInputError, quote
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
@@ -28,7 +28,7 @@ _PIECE = 10**_PIECE_DIGITS
 def parse_rational(text: str) -> Fraction:
     m = _RAT_RE.match(text.strip())
     if m is None:
-        raise RationalFormatError(f"not a rational: {text!r}")
+        raise RationalFormatError(f"not a rational: {quote(text)}")
     try:
         num, den = (int(part) for part in m.groups("1"))
     except ValueError:  # the pattern admits digits only, so only the digit limit refuses them
@@ -36,7 +36,7 @@ def parse_rational(text: str) -> Fraction:
             f"rational of {len(text.strip())} characters exceeds the interpreter's integer digit limit"
         ) from None
     if den == 0:
-        raise RationalFormatError(f"zero denominator: {text!r}")
+        raise RationalFormatError(f"zero denominator: {quote(text)}")
     return Fraction(num, den)
 
 

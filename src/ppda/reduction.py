@@ -24,7 +24,7 @@ from typing import Mapping
 
 from . import pctl
 from .chain import FinitePath
-from .errors import PpdaInputError, read_text
+from .errors import PpdaInputError, quote, read_text
 from .pctl import (
     And,
     Atom,
@@ -141,7 +141,7 @@ def parse_index_word(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise IndexRangeError(f"malformed index word: {text!r}") from None
+        raise IndexRangeError(f"malformed index word: {quote(text)}") from None
 
 
 def format_index_word(word) -> str:
@@ -177,7 +177,7 @@ def parse_instance(text: str) -> PcpInstance:
             continue
         tokens = line.split()
         if len(tokens) != 2:
-            raise InstanceFormatError(f"line {line_no}: expected 'u v', got {raw.strip()!r}")
+            raise InstanceFormatError(f"line {line_no}: expected 'u v', got {quote(raw.strip())}")
         u, v = tokens
         pairs.append(("" if u == "-" else u, "" if v == "-" else v))
     if not pairs:
@@ -205,7 +205,7 @@ _THETA_BAR = {"Z'": 1, "A": 0, "B": 1}
 
 def _digit(digits: Mapping[str, int], x: str) -> int:
     if x not in digits:
-        raise DomainError(f"theta is defined on A, B, Z' only, got {x!r}")
+        raise DomainError(f"theta is defined on A, B, Z' only, got {quote(x)}")
     return digits[x]
 
 
@@ -220,7 +220,7 @@ def theta_bar(x: str) -> int:
 def _dyadic(digits: Mapping[str, int], word: str) -> Fraction:
     """Sum of digit(x_i) * 2^-i over the body, plus the final Z' term."""
     if not word.endswith("Z'"):
-        raise MalformedWordError(f"word must end in Z': {word!r}")
+        raise MalformedWordError(f"word must end in Z': {quote(word)}")
     body = word[:-2]
     if not body:
         raise MalformedWordError("word body is empty")
@@ -281,11 +281,11 @@ class Variant:
             kind = VariantKind(tokens[0])
         except ValueError:
             raise VariantFormatError(
-                f"unknown variant {tokens[0]!r}: expected default, cf-simple or 'n-chain K'"
+                f"unknown variant {quote(tokens[0])}: expected default, cf-simple or 'n-chain K'"
             ) from None
         if kind is VariantKind.N_CHAIN:
             if len(tokens) > 2:
-                raise VariantFormatError(f"variant 'n-chain' takes one argument, got {text!r}")
+                raise VariantFormatError(f"variant 'n-chain' takes one argument, got {quote(text)}")
             try:
                 length = int(tokens[1]) if len(tokens) > 1 else 1
             except ValueError:
@@ -293,10 +293,10 @@ class Variant:
                     raise VariantFormatError(
                         f"chain length of {len(tokens[1])} characters exceeds the interpreter's integer digit limit"
                     ) from None
-                raise VariantFormatError(f"chain length must be an integer, got {tokens[1]!r}") from None
+                raise VariantFormatError(f"chain length must be an integer, got {quote(tokens[1])}") from None
             return cls(kind, length)
         if len(tokens) > 1:
-            raise VariantFormatError(f"variant {tokens[0]!r} takes no argument")
+            raise VariantFormatError(f"variant {quote(tokens[0])} takes no argument")
         return cls(kind)
 
 

@@ -419,6 +419,27 @@ class TestEvalFuzz:
             assert err.getvalue() == "" and out.getvalue().startswith("verdict=")
 
 
+# Inputs that each echo a 5,000-character token (or 2,000 violations) in
+# their error; the files are written to the working directory.
+_LONG = 5000
+_SHORT_FILES = {"p.pcp": "AB A\nB BB\n", "m.bpa": "X -> ~ [1]\n", "f.pctl": "(ap X)"}
+_EVAL = ["eval", "--model", "m.bpa", "--config", "X", "--formula", "f.pctl"]
+_LONG_INPUTS = [
+    pytest.param(["compile", "--instance", "p.pcp", "--variant", "n-chain " + "x" * _LONG, "--out", "o"], {},
+                 id="variant"),
+    pytest.param(["certify", "--instance", "p.pcp", "--word", "1," + "x" * _LONG], {}, id="word"),
+    pytest.param(["eval", "--model", "m.bpa", "--config", "X " + "Q" * _LONG, "--formula", "f.pctl"], {},
+                 id="config"),
+    pytest.param(_EVAL, {"f.pctl": "(" + "a" * _LONG + " true)"}, id="operator"),
+    pytest.param(["certify", "--instance", "p.pcp", "--word", "1"], {"p.pcp": "A B " + "C" * _LONG + "\n"},
+                 id="instance line"),
+    pytest.param(_EVAL, {"m.bpa": "X -> ~ [" + "y" * _LONG + "]\n"}, id="rule probability"),
+    pytest.param(_EVAL + ["--t", "x" * _LONG], {"f.pctl": "(P> ?t/2 (X true))"}, id="t"),
+    pytest.param(_EVAL, {"m.bpa": "".join(f"S{i} -> ~ [1/2]\n" for i in range(2000)) + "X -> ~ [1]\n"},
+                 id="model sums"),
+]
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("error", [
         reduction.InstanceFormatError, reduction.DegenerateInstanceError, reduction.IndexRangeError,
@@ -441,6 +462,27 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert len(captured.err) < 200
+
+    @pytest.mark.parametrize("argv, files", _LONG_INPUTS)
+    def test_long_input_echo_is_bounded(self, tmp_path, monkeypatch, capsys, argv, files):
+        monkeypatch.chdir(tmp_path)
+        for name, text in {**_SHORT_FILES, **files}.items():
+            (tmp_path / name).write_text(text)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert len(captured.err) < 200
+
+    def test_invalid_model_names_three_violations(self, tmp_path, capsys):
+        model = tmp_path / "m.bpa"
+        model.write_text("".join(f"S{i} -> ~ [1/2]\n" for i in range(5)))
+        formula = tmp_path / "f.pctl"
+        formula.write_text("(ap S0)")
+        assert main(["eval", "--model", str(model), "--config", "S0", "--formula", str(formula)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid model: S0: rule probabilities sum to 1/2, not 1; "
+            "S1: rule probabilities sum to 1/2, not 1; S2: rule probabilities sum to 1/2, not 1; and 2 more\n")
 
     @pytest.mark.parametrize("flags", [["--max-states", "0"], ["--max-depth", "-1"]])
     def test_non_positive_budget_refused(self, tmp_path, capsys, flags):

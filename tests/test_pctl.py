@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SYMBOLS, gen_from, small_bpas
-from ppda import reduction
+from ppda import pctl, reduction
 from ppda.chain import Budget, Exploration, explore
 from ppda.cli import main
 from ppda.pctl import (
@@ -599,6 +599,51 @@ class TestUntilSupport:
             session.prob_until(x, f1, f2)
         reference = _kleene_support(model, session.head_sets[f1], session.head_sets[f2])
         assert session.support[(f1, f2)] == reference
+
+    @staticmethod
+    def _solve_counting_folds(monkeypatch, model: Bpa, top: str, f2) -> dict:
+        """Decide ``P>0 (true U f2)`` at ``top``, check the summaries against
+        Kleene iteration, and return how often the solve folded each body."""
+        folds: dict = {}
+        fold = pctl._fold
+
+        def counting_fold(word, table, tail):
+            if tail == (False, True):  # a rule body over the pop; _positive's tail never is
+                folds[tuple(word)] = folds.get(tuple(word), 0) + 1
+            return fold(word, table, tail)
+
+        monkeypatch.setattr(pctl, "_fold", counting_fold)
+        session = Evaluator(induced_chain(model, Configuration((top,))), Budget(1, 1))
+        assert session.eval_state(top, Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, f2))) is TRUE
+        reference = _kleene_support(model, session.head_sets[TRUE_FORMULA], session.head_sets[f2])
+        assert session.support[(TRUE_FORMULA, f2)] == reference
+        for body, count in folds.items():
+            rules = sum(rule.body == body for rule in model.rules)
+            assert count <= rules * (1 + 2 * len(body))
+        return folds
+
+    def test_long_chain_rises_bottom_up(self, monkeypatch):
+        # f2 holds only at B, below the last link, so both summaries of every
+        # link become true one link at a time, from the bottom up.
+        links = 300
+        rules = [BpaRule("B", ("B",), Fraction(1)),
+                 BpaRule(f"L{links - 1}", (), H), BpaRule(f"L{links - 1}", ("B",), H)]
+        for i in range(links - 1):
+            rules += [BpaRule(f"L{i}", (f"L{i + 1}",), H), BpaRule(f"L{i}", (f"L{i + 1}", f"L{i + 1}"), H)]
+        folds = self._solve_counting_folds(monkeypatch, Bpa.make(rules), "L0", Atom("B"))
+        # Every link's rules are read, and B's, where f2 holds, are not.
+        assert len(folds) == 2 * links
+
+    def test_guessing_fan_in(self, monkeypatch):
+        # Like the guessing phase: each of 40 heads moves to every head,
+        # pushing a letter, or leaves; only the last leaves towards f2.
+        heads = [f"G{i}" for i in range(40)]
+        p = Fraction(1, 41)
+        rules = [BpaRule("P", (), Fraction(1)), BpaRule("C", ("C",), Fraction(1))]
+        for i, head in enumerate(heads):
+            rules.append(BpaRule(head, ("C",) if i == len(heads) - 1 else ("P",), p))
+            rules += [BpaRule(head, (other, "P"), p) for other in heads]
+        self._solve_counting_folds(monkeypatch, Bpa.make(rules), "G0", Atom("C"))
 
     def test_cyclic_query_is_zero_at_any_budget(self):
         session = Evaluator(_cyclic_chain(), Budget(1, 1))
