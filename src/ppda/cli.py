@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import oracle, pctl, properties, reduction
 from .chain import Budget
-from .errors import QUOTE_LIMIT, PpdaInputError, quote, read_text
+from .errors import PpdaInputError, bounded, quote, read_text
 from .pctl import has_placeholder, parse_formula, serialize_formula
 from .pushdown import Configuration, induced_chain, parse_model, serialize_model
 from .rationals import parse_rational
@@ -131,8 +131,10 @@ def _cmd_eval(args) -> int:
     interval = None
     if isinstance(formula, pctl.Prob):
         interval = evaluator.prob_path(state, formula.path)
-    # The verdict can be sharper than the interval: a bound-0 until over
-    # propositional operands is decided exactly at any budget.
+    # An until over propositional operands gets an exact point from the
+    # symbol summaries where its symbols form no cycle. Where they do, the
+    # verdict can be sharper than the interval: a bound-0 until over such
+    # operands is decided exactly at any budget.
     verdict = evaluator.eval_state(state, formula)
     print(f"verdict={verdict}")
     if interval is not None:
@@ -148,8 +150,7 @@ def _cmd_lemmas(args) -> int:
     except ValueError:
         raise PpdaInputError(f"--sizes must be 'n,m,k' with positive integers, got {quote(args.sizes)}") from None
     if max_n > MAX_LEMMA_PAIRS or max_m * max_k > MAX_LEMMA_STACK:
-        shown = args.sizes if len(args.sizes) <= QUOTE_LIMIT else quote(args.sizes)
-        raise PpdaInputError(f"--sizes {shown} is over the limits n <= {MAX_LEMMA_PAIRS} "
+        raise PpdaInputError(f"--sizes {bounded(args.sizes)} is over the limits n <= {MAX_LEMMA_PAIRS} "
                              f"and m*k <= {MAX_LEMMA_STACK}")
     failures = 0
     for name, failure in properties.run_suite(args.seed, max_n, max_m, max_k):

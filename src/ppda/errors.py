@@ -4,7 +4,8 @@ Every error that malformed or out-of-range input raises is a
 ``PpdaInputError``, which is also a ``ValueError``. The command line
 reports exactly these (and ``OSError``) as usage errors with exit 2; any
 other exception is an internal fault and escapes. A message quotes raw
-input through ``quote``, so its length stays bounded whatever the input.
+input through ``quote``, and prints a value computed from input through
+``bounded``, so its length stays bounded whatever the input.
 """
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ def quote(text: str) -> str:
     if len(text) <= QUOTE_LIMIT:
         return repr(text)
     return f"{text[:QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
+def bounded(text: str) -> str:
+    """``text`` as it is up to ``QUOTE_LIMIT`` characters, and through ``quote``
+    past that: for subjects and computed values that print unquoted."""
+    return text if len(text) <= QUOTE_LIMIT else quote(text)
 
 
 class PpdaInputError(ValueError):

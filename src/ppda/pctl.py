@@ -5,7 +5,9 @@ probability bounds P>r / P=r over the path operators X (next) and U
 (until). Evaluation is three-valued: True and False are only reported when
 they hold in the exact semantics, otherwise Unknown. Whether an until with
 propositional operands has positive probability is decided exactly, from
-per-symbol Boolean summaries; the rest is decided from a bounded
+per-symbol Boolean summaries. In a budgeted session such an until also gets
+its exact value from per-symbol numeric summaries wherever the symbols its
+stack reaches form no cycle. The rest is decided from a bounded
 exploration. Probabilities of path formulas are returned as exact rational
 intervals that are guaranteed to contain the true value and that nest as
 the budget grows.
@@ -22,8 +24,8 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .chain import Budget, ChainState, Exploration
-from .errors import PpdaInputError, quote
-from .pushdown import ChainGenerator, Configuration, UnknownSymbolError
+from .errors import PpdaInputError, bounded, quote
+from .pushdown import EMPTY_MARK, ChainGenerator, Configuration, UnknownSymbolError
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -191,7 +193,7 @@ class Prob(_Node):
 
     def __new__(cls, comparison: Comparison, bound: Bound, path: PathFormula) -> "Prob":
         if isinstance(bound, Fraction) and not 0 <= bound <= 1:
-            raise BoundRangeError(f"probability bound {format_rational(bound)} outside [0,1]")
+            raise BoundRangeError(f"probability bound {bounded(format_rational(bound))} outside [0,1]")
         return super().__new__(cls, comparison, bound, path)
 
 
@@ -510,14 +512,22 @@ class Evaluator:
     reaches, and ``_fold`` composes them over a stack word, so the until
     has positive probability at a state exactly when the fold of its stack
     says so (``_positive``), whatever the budget. So ``P>0`` and ``P=0``
-    over it are always True or False, and in a budgeted session
-    ``prob_until`` returns the point 0 at a state where it is zero without
-    walking (an unbudgeted walk is exact anyway).
+    over it are always True or False.
 
-    Until-queries are demand-driven: each query state's breadth-first
-    region is advanced only as far as the states the query walks to, and
-    only the states reachable from it through until-variables are
-    classified and solved.
+    A budgeted session also solves the numeric summaries in the same call:
+    ``summaries[(f1, f2)]`` maps each of those symbols to its exact
+    ``(a_X, t_X)``, the probabilities of satisfying the until before X is
+    popped and of popping X with f1 throughout and f2 never, or to None
+    where the symbols its rules reach form a cycle. Then ``P(X·α) = a_X +
+    t_X·P(α)``, so ``prob_until`` returns the point 0 where the Boolean
+    fold says zero, and elsewhere the point ``_point`` folds from the stack
+    without walking, unless the fold meets a None. An unbudgeted session
+    solves no numeric summaries and skips both: its walk is exact anyway.
+
+    Until-queries that remain are demand-driven: each query state's
+    breadth-first region is advanced only as far as the states the query
+    walks to, and only the states reachable from it through until-variables
+    are classified and solved.
 
     ``budget=None`` means no limit and builds no region: every walked state
     that passes the operand tests and is not absorbing is a variable. Use it
@@ -526,9 +536,10 @@ class Evaluator:
 
     Until results are memoized per formula pair: ``until_cache[(f1, f2)]``
     maps a state to its exact value as a bare ``Fraction``, for every
-    state a query walked that resolved to a point, or to the open
-    ``ProbInterval`` a query at that state returned. A query looks its
-    pair's table up once and then reads it by state.
+    state a query walked that resolved to a point and every stack suffix
+    ``_point`` folded, or to the open ``ProbInterval`` a query at that
+    state returned. A query looks its pair's table up once and then reads
+    it by state.
     """
 
     def __init__(self, gen: ChainGenerator, budget: Budget | None) -> None:
@@ -539,6 +550,7 @@ class Evaluator:
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
         self.support: dict[tuple, dict[str, tuple[bool, bool]]] = {}
+        self.summaries: dict[tuple, dict[str, tuple[Fraction, Fraction] | None]] = {}
         self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
@@ -625,10 +637,16 @@ class Evaluator:
         if known is not None:
             return known if isinstance(known, ProbInterval) else ProbInterval(known, known)
         # Without a budget the walk is already exact, so only a budgeted
-        # session needs the summaries to settle a zero.
-        if self.budget is not None and self._positive(state, f1, f2) is False:
-            table[state] = ZERO
-            return ProbInterval(ZERO, ZERO)
+        # session needs the summaries to settle a value.
+        if self.budget is not None:
+            positive = self._positive(state, f1, f2)
+            if positive is False:
+                table[state] = ZERO
+                return ProbInterval(ZERO, ZERO)
+            if positive:
+                value = self._point(state, f2, self.summaries.get((f1, f2), {}), table)
+                if value is not None:
+                    return ProbInterval(value, value)
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
         # reaches become the unknowns of a linear system.
@@ -735,7 +753,8 @@ class Evaluator:
         whether X can be popped with f1 holding throughout and f2 never. The
         answer is the ``a`` of ``_fold`` of the query stack over the empty
         stack, whose ``a`` is whether f2 holds there. When the fold meets a
-        symbol not solved yet, ``_solve_support`` solves the stack's symbols.
+        symbol not solved yet, ``_solve_support`` solves the stack's symbols,
+        and in a budgeted session their ``summaries`` too.
         """
         h1, h2 = self._compile(f1), self._compile(f2)
         if h1 is None or h2 is None:
@@ -745,8 +764,40 @@ class Evaluator:
         try:
             return _fold(stack, table, (None in h2, False))[0]
         except KeyError:
-            _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack)
+            numeric = None if self.budget is None else self.summaries.setdefault((f1, f2), {})
+            _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack, numeric)
             return _fold(stack, table, (None in h2, False))[0]
+
+    def _point(self, state: ChainState, f2: StateFormula, summaries: dict, table: dict) -> Fraction | None:
+        """The exact ``P(f1 U f2)`` at ``state`` from the numeric ``summaries``,
+        or None if the fold meets a symbol whose summary is None.
+
+        ``P(X·α) = a_X + t_X·P(α)``, and ``P`` of the empty stack is 1 if f2
+        holds there and 0 otherwise. The stack is read top first down to the
+        first suffix ``table`` holds as a point, the first symbol that cannot
+        be popped, or the empty stack; then every suffix read is folded and
+        memoized in ``table``, bottom up. A stack that extends a folded one
+        by a block therefore costs one block.
+        """
+        value = ONE if None in self.head_sets[f2] else ZERO
+        read, suffix = [], state
+        while suffix != EMPTY_MARK:
+            head, _, rest = suffix.partition(" ")
+            summary = summaries[head]
+            if summary is None:
+                return None
+            read.append((suffix, summary))
+            if not summary[1]:
+                break
+            suffix = rest or EMPTY_MARK
+            known = table.get(suffix)
+            if isinstance(known, Fraction):
+                value = known
+                break
+        for suffix, (a, t) in reversed(read):
+            value = a + t * value
+            table[suffix] = value
+        return value
 
     def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
         """Decide ``P>0 (f1 U f2)`` at ``state`` without solving.
@@ -790,9 +841,21 @@ def _fold(word, table: dict, tail: tuple[bool, bool]) -> tuple[bool, bool]:
     return a or tail[0], tail[1]
 
 
-def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...]) -> None:
+# The most bits a numeric summary's denominators may take. Over rule bodies
+# of one symbol they grow by at most a probability's bits per level, but a
+# body of two symbols multiplies their summaries: the chain of rules
+# L_i -> L_{i+1} L_{i+1} doubles the bits at every link. A summary past this
+# is left None, like one on a cycle, and the walk, bounded by the budget,
+# answers instead.
+SUMMARY_BITS = 1 << 16
+
+
+def _solve_support(
+    rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...], numeric: dict | None = None
+) -> None:
     """Extend ``table``, symbol -> ``(a, t)`` for one until, to the unsolved
-    ``roots`` and the unsolved symbols they reach.
+    ``roots`` and the unsolved symbols they reach, and ``numeric``, if given,
+    to the same symbols.
 
     These are the least solution of the Boolean summary equations (Esparza,
     Kucera and Mayr, LICS 2004): a symbol in H_f2 is ``(True, False)``, one
@@ -805,6 +868,16 @@ def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roo
     symbol. Summaries only rise, at most twice each, so a body is folded at
     most ``1 + 2·len(body)`` times. Symbols already in ``table`` are final,
     because every solve closes over the symbols its rules reach.
+
+    ``numeric`` holds the exact summaries, the least solution of the same
+    equations over the rationals: a symbol in H_f2 is ``(1, 0)``, one whose
+    Boolean summary is ``(False, False)`` is ``(0, 0)``, and any other is
+    the sum over its rules ``X -> body [p]`` of ``p·(a, t)`` of the body,
+    where ``Y·W`` is ``(a_Y + t_Y·a_W, t_Y·t_W)`` and the pop ``(0, 1)``.
+    They are solved in topological order over the readers graph: a symbol
+    is ready once no symbol its bodies hold is None. A symbol on a cycle,
+    or above one, never gets ready and stays None, and so does one whose
+    denominators pass ``SUMMARY_BITS``, and every symbol above it.
     """
     new = {x: (x in h2, False) for x in roots if x not in table}
     pending, queue, readers = list(new), [], {}
@@ -829,6 +902,31 @@ def _solve_support(rules_by_head, h1: frozenset, h2: frozenset, table: dict, roo
         if (body_a and not a) or (body_t and not t):
             table[x] = (a or body_a, t or body_t)
             queue.extend(readers.get(x, ()))
+    if numeric is None:
+        return
+    for x in new:
+        numeric[x] = (ONE, ZERO) if x in h2 else (ZERO, ZERO) if table[x] == (False, False) else None
+    waiting = {x: sum(numeric[y] is None for rule in rules_by_head[x] for y in rule.body)
+               for x in new if numeric[x] is None}
+    ready = [x for x, count in waiting.items() if not count]
+    while ready:
+        x = ready.pop()
+        a = t = ZERO
+        for rule in rules_by_head[x]:
+            body_a, body_t = ZERO, ONE
+            for y in reversed(rule.body):
+                a_y, t_y = numeric[y]
+                body_a, body_t = a_y + t_y * body_a, t_y * body_t
+            a += rule.probability * body_a
+            t += rule.probability * body_t
+        if max(a.denominator, t.denominator).bit_length() > SUMMARY_BITS:
+            continue
+        numeric[x] = (a, t)
+        for reader, _ in readers.get(x, ()):
+            if reader in waiting:
+                waiting[reader] -= 1
+                if not waiting[reader]:
+                    ready.append(reader)
 
 
 def _least_fixed_point(

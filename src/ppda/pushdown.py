@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import QUOTE_LIMIT, PpdaInputError, quote
+from .errors import PpdaInputError, bounded, quote
 from .rationals import RationalFormatError, format_rational, parse_rational
 
 ONE = Fraction(1)
@@ -106,9 +106,10 @@ class Bpa:
 
 
 def validate_model(model: Bpa) -> list[ModelViolation]:
-    """Rule totality per head, exact (``Fraction``) probabilities and their
-    sums, body lengths, and symbols the configuration encoding carries: not
-    ``~``, not empty, no whitespace."""
+    """Rule totality per head, exact (``Fraction``) probabilities in (0, 1]
+    and their sums, body lengths, and symbols the configuration encoding
+    carries: not ``~``, not empty, no whitespace. A head with a flagged
+    probability gets no sum violation on top."""
     out: list[ModelViolation] = []
     if EMPTY_MARK in model.alphabet:
         out.append(ModelViolation(EMPTY_MARK, "'~' is the empty stack and cannot be a stack symbol"))
@@ -116,7 +117,7 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         if symbol.split() != [symbol]:
             out.append(ModelViolation(repr(symbol), "a stack symbol must be non-empty and hold no whitespace"))
     per_head: dict[str, Fraction] = {}
-    inexact: set[str] = set()  # heads whose sum is not checked: a rule is flagged instead
+    flagged: set[str] = set()  # heads whose sum is not checked: a rule's probability is flagged instead
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
         subject = f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
@@ -126,9 +127,11 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         if not exact:
             out.append(ModelViolation(
                 subject, f"probability must be an exact rational, got {type(rule.probability).__name__}"))
-            inexact.add(rule.head)
+            flagged.add(rule.head)
         elif not 0 < rule.probability <= 1:
-            out.append(ModelViolation(subject, f"probability {format_rational(rule.probability)} outside (0,1]"))
+            out.append(ModelViolation(
+                subject, f"probability {bounded(format_rational(rule.probability))} outside (0,1]"))
+            flagged.add(rule.head)
         key = (rule.head, rule.body)
         if key in seen:
             out.append(ModelViolation(subject, "duplicate rule"))
@@ -138,8 +141,8 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
         total = per_head.get(symbol)
         if total is None:
             out.append(ModelViolation(symbol, "no rule for this symbol"))
-        elif total != 1 and symbol not in inexact:
-            out.append(ModelViolation(symbol, f"rule probabilities sum to {format_rational(total)}, not 1"))
+        elif total != 1 and symbol not in flagged:
+            out.append(ModelViolation(symbol, f"rule probabilities sum to {bounded(format_rational(total))}, not 1"))
     return out
 
 
@@ -202,8 +205,7 @@ def induced_chain(model: Bpa, start: Configuration) -> ChainGenerator:
     """
     problems = validate_model(model)
     if problems:
-        shown = [f"{v.subject if len(v.subject) <= QUOTE_LIMIT else quote(v.subject)}: {v.reason}"
-                 for v in problems[:3]]
+        shown = [f"{bounded(v.subject)}: {v.reason}" for v in problems[:3]]
         if len(problems) > 3:
             shown.append(f"and {len(problems) - 3} more")
         raise InvalidModelError("invalid model: " + "; ".join(shown))

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from . import pctl
 from .chain import FinitePath
-from .errors import PpdaInputError, quote, read_text
+from .errors import PpdaInputError, bounded, quote, read_text
 from .pctl import (
     And,
     Atom,
@@ -609,7 +609,7 @@ def certify(
 def instantiate_formula(formula: StateFormula, t: Fraction) -> StateFormula:
     """Replace the symbolic t/2 and (1-t)/2 bounds by concrete rationals."""
     if not 0 < t < 1:
-        raise TRangeError(f"t must lie strictly between 0 and 1, got {format_rational(t)}")
+        raise TRangeError(f"t must lie strictly between 0 and 1, got {bounded(format_rational(t))}")
 
     def swap(bound):
         if isinstance(bound, BoundPlaceholder):

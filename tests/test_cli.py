@@ -348,7 +348,8 @@ class TestEval:
         assert "integer digit limit" in captured.err
 
     def test_invalid_model_message_past_the_digit_limit(self, tmp_path, capsys, digit_limit):
-        # 1/D + 1/(D+1) with D = 10^2200 has a 4,401-digit denominator.
+        # 1/D + 1/(D+1) with D = 10^2200 has a 4,401-digit denominator; the
+        # sum's 6,603 characters print as their first 40 and their length.
         d, d_plus_one = "1" + "0" * 2200, "1" + "0" * 2199 + "1"
         model = tmp_path / "m.bpa"
         model.write_text(f"X -> ~ [1/{d}]\nX -> X [1/{d_plus_one}]\n")
@@ -357,19 +358,24 @@ class TestEval:
         code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(formula)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == f"error: invalid model: X: rule probabilities sum to 2{'0' * 2199}1/1{'0' * 2199}1{'0' * 2200}, not 1\n"
+        assert err == f"error: invalid model: X: rule probabilities sum to '2{'0' * 39}'... (6603 characters), not 1\n"
 
     def test_bound_zero_verdict_is_exact_where_the_interval_is_not(self, tmp_path, capsys):
-        # The budget cuts the walk before G, so the interval stays [0, 1];
-        # the verdict of a top-level P>0 is the one eval_state gives.
-        model = tmp_path / "line.bpa"
-        model.write_text("A -> B [1]\nB -> C [1]\nC -> D [1]\nD -> G [1]\nG -> G [1]\n")
+        # D returns to A, so the symbols form a cycle and the until is walked.
+        # The budget cuts the walk before G, so the interval stays [0, 1]; the
+        # verdict of a top-level P>0 is the one eval_state gives. On the line
+        # without the return the symbol summaries give the exact point.
         formula = tmp_path / "reach.pctl"
         formula.write_text("(P> 0 (U true (ap G)))")
-        code = main(["eval", "--model", str(model), "--config", "A", "--formula", str(formula),
-                     "--max-states", "2", "--max-depth", "2"])
-        assert code == 0
-        assert capsys.readouterr().out == "verdict=True\ninterval=[0, 1]\n"
+        line = "A -> B [1]\nB -> C [1]\nC -> D [1]\nG -> G [1]\n"
+        for name, rules, interval in (("loop", "D -> G [1/2]\nD -> A [1/2]\n", "[0, 1]"),
+                                      ("line", "D -> G [1]\n", "[1, 1]")):
+            model = tmp_path / f"{name}.bpa"
+            model.write_text(line + rules)
+            code = main(["eval", "--model", str(model), "--config", "A", "--formula", str(formula),
+                         "--max-states", "2", "--max-depth", "2"])
+            assert code == 0
+            assert capsys.readouterr().out == f"verdict=True\ninterval={interval}\n"
 
     def test_interval_past_the_digit_limit_printed_exactly(self, tmp_path, capsys, digit_limit):
         # D = 10^2200 parses, and the value 1/D^2 has a 4,401-digit denominator.
@@ -419,8 +425,9 @@ class TestEvalFuzz:
             assert err.getvalue() == "" and out.getvalue().startswith("verdict=")
 
 
-# Inputs that each echo a 5,000-character token (or 2,000 violations) in
-# their error; the files are written to the working directory.
+# Inputs that each echo a 5,000-character token, a value computed from a
+# 4,000-digit numeral, or 2,000 violations in their error; the files are
+# written to the working directory.
 _LONG = 5000
 _SHORT_FILES = {"p.pcp": "AB A\nB BB\n", "m.bpa": "X -> ~ [1]\n", "f.pctl": "(ap X)"}
 _EVAL = ["eval", "--model", "m.bpa", "--config", "X", "--formula", "f.pctl"]
@@ -435,6 +442,9 @@ _LONG_INPUTS = [
                  id="instance line"),
     pytest.param(_EVAL, {"m.bpa": "X -> ~ [" + "y" * _LONG + "]\n"}, id="rule probability"),
     pytest.param(_EVAL + ["--t", "x" * _LONG], {"f.pctl": "(P> ?t/2 (X true))"}, id="t"),
+    pytest.param(_EVAL, {"f.pctl": "(P> " + "9" * 4000 + " (X true))"}, id="bound value"),
+    pytest.param(_EVAL, {"m.bpa": "X -> ~ [" + "9" * 4000 + "]\n"}, id="rule value"),
+    pytest.param(_EVAL + ["--t", "9" * 4000], {"f.pctl": "(P> ?t/2 (X true))"}, id="t value"),
     pytest.param(_EVAL, {"m.bpa": "".join(f"S{i} -> ~ [1/2]\n" for i in range(2000)) + "X -> ~ [1]\n"},
                  id="model sums"),
 ]

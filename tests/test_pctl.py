@@ -91,7 +91,8 @@ class TestParsing:
             parse_formula(f"(P> {bound} (X true))")
 
     def test_constructed_bound_past_the_digit_limit_refused(self, digit_limit):
-        with pytest.raises(BoundRangeError, match=r"^probability bound 10{4399}1/10{4400} outside"):
+        # The value prints through errors.bounded: its first 40 characters and its length.
+        with pytest.raises(BoundRangeError, match=r"^probability bound '10{39}'\.\.\. \(8803 characters\) outside"):
             Prob(Comparison.GT, Fraction(10**4400 + 1, 10**4400), Next(TRUE_FORMULA))
 
     def test_path_formula_parses(self):
@@ -331,13 +332,19 @@ class TestProbUntil:
         assert interval == ProbInterval(H, H)
 
     def test_frontier_keeps_interval_open(self):
+        # f1 holds everywhere but is not a head set, so the until is walked,
+        # and the budget cuts the walk. The propositional query folds from the
+        # symbol summaries to the exact point at any budget.
         table = {str(i): [(str(i + 1), Fraction(1))] for i in range(10)}
         table["10"] = [("10", Fraction(1))]
         gen = gen_from(table, initial="0")
-        interval = Evaluator(gen, Budget(5, 5)).prob_until("0", TRUE_FORMULA, Atom("10"))
+        always = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
+        interval = Evaluator(gen, Budget(5, 5)).prob_until("0", always, Atom("10"))
         assert interval.lo == Fraction(0) and interval.hi == Fraction(1)
-        exact = Evaluator(gen, Budget(50, 50)).prob_until("0", TRUE_FORMULA, Atom("10"))
+        exact = Evaluator(gen, Budget(50, 50)).prob_until("0", always, Atom("10"))
         assert exact == ProbInterval(Fraction(1), Fraction(1))
+        folded = Evaluator(gen, Budget(5, 5)).prob_until("0", TRUE_FORMULA, Atom("10"))
+        assert folded == ProbInterval(Fraction(1), Fraction(1))
 
 
 class TestBudgetMonotonicity:
@@ -490,16 +497,28 @@ class TestQualitativeUntil:
         checkpoints = [s for s in region.settled | region.frontier
                        if "C" in p1_artifact.chain.labels(s)]
         # Measured: the region at Z holds 1,022 C-configurations and 9,967
-        # settled states. Solving the outer until evaluates the inner formula
-        # at every C-configuration and explores one checking region for each
-        # (1,023 entries with Z); the search stops at the witness 1,2 and
-        # leaves 5 entries: Z and the checking regions of the guesses 1, 2,
-        # 1,1 and 1,2. The exploration at Z is advanced only as far as the
-        # search walks, which settles 31 states.
+        # settled states. The search for a C-configuration where the inner
+        # formula holds stops at the witness 1,2. The inner untils fold from
+        # the numeric summaries, so Z's is the one entry. The exploration at
+        # Z is advanced only as far as the search walks, which settles 31
+        # states.
         assert len(checkpoints) == 1022
         assert len(region.settled) == 9967
         assert len(evaluator.region_cache) <= 5
         assert evaluator.region_cache["Z"].settled_count <= 31
+
+    def test_hopeless_top_formula_builds_one_exploration(self, monkeypatch):
+        # No word solves this instance, so the outer until is cut by the
+        # budget and the verdict stays Unknown. The inner untils at its 1,022
+        # C-configurations fold from the numeric summaries, so the one
+        # exploration is the outer until's, at Z.
+        built = []
+        monkeypatch.setattr(pctl, "Exploration", lambda *args: built.append(args[1]) or Exploration(*args))
+        artifact = reduction.compile_instance(reduction.PcpInstance((("AB", "BA"), ("BA", "AB"))))
+        top = reduction.instantiate_top_formula(artifact, Fraction(5, 16))
+        evaluator = Evaluator(artifact.chain, Budget(100_000, 30))
+        assert evaluator.eval_state("Z", top) is UNKNOWN
+        assert built == ["Z"] and evaluator.region_cache.keys() == {"Z"}
 
 
 def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
@@ -558,6 +577,65 @@ def _kleene_support(model: Bpa, h1: frozenset, h2: frozenset) -> dict:
         if step == table:
             return table
         table = step
+
+
+def _kleene_summaries(model: Bpa, h1: frozenset, h2: frozenset) -> dict:
+    """The numeric summaries of every symbol after as many rounds of Kleene
+    iteration from (0, 0) as the alphabet has symbols, plus one, over the
+    whole alphabet. That is exact for every symbol whose closure is acyclic."""
+    zero = (Fraction(0), Fraction(0))
+    table = {x: zero for x in model.alphabet}
+    for _ in range(len(model.alphabet) + 1):
+        step = {}
+        for x in model.alphabet:
+            if x in h2:
+                step[x] = (Fraction(1), Fraction(0))
+                continue
+            a = t = Fraction(0)
+            if x in h1:
+                for rule in model.rules_by_head[x]:
+                    p = rule.probability
+                    if not rule.body:
+                        t += p
+                    elif len(rule.body) == 1:
+                        ay, ty = table[rule.body[0]]
+                        a, t = a + p * ay, t + p * ty
+                    else:
+                        (ay, ty), (aw, tw) = table[rule.body[0]], table[rule.body[1]]
+                        a, t = a + p * (ay + ty * aw), t + p * ty * tw
+            step[x] = (a, t)
+        table = step
+    return table
+
+
+def _above_cycles(model: Bpa, h1: frozenset, h2: frozenset, leaves: set) -> set:
+    """The symbols that reach a cycle of the graph that links each head in H_f1
+    and not in H_f2, outside ``leaves``, to the symbols of its rule bodies:
+    those with a path longer than the alphabet."""
+    def targets(x):
+        if x in h2 or x not in h1 or x in leaves:
+            return set()
+        return {y for rule in model.rules_by_head[x] for y in rule.body}
+
+    out = set()
+    for x in model.alphabet:
+        layer = {x}
+        for _ in range(len(model.alphabet) + 1):
+            layer = set().union(*map(targets, layer))
+        if layer:
+            out.add(x)
+    return out
+
+
+def _folds(session: Evaluator, state: str, f1, f2) -> bool:
+    """Whether every symbol of ``state`` down to the first that cannot be popped
+    has a numeric summary in ``session``, so that ``prob_until`` folds it."""
+    for x in Configuration.parse(state).stack:
+        if session.summaries[(f1, f2)][x] is None:
+            return False
+        if not session.support[(f1, f2)][x][1]:
+            break
+    return True
 
 
 _REFERENCE_BUDGETS = (Budget(40, 8), Budget(300, 20), Budget(3000, 60))
@@ -674,9 +752,143 @@ class TestUntilSupport:
             state = reduction.check_config(p1_artifact, word).encode()
             for phi in (p1_artifact.phi1, p1_artifact.phi2):
                 assert session.eval_state(state, Prob(Comparison.GT, Fraction(0), phi)) is TRUE
-        assert sweep.support == {}
+        assert sweep.support == {} and sweep.summaries == {}
         solved = set().union(*session.support.values())
         assert solved and not any(x.startswith("G(") or x == "Z" for x in solved)
+        # The budgeted session solves the numeric summaries of the same
+        # symbols, and the checking phase is acyclic, so all of them.
+        assert {pair: table.keys() for pair, table in session.summaries.items()} == {
+            pair: table.keys() for pair, table in session.support.items()}
+        assert all(None not in table.values() for table in session.summaries.values())
+
+
+_LAYERS = ("L0", "L1", "L2", "L3")
+
+
+@st.composite
+def _layered_bpas(draw) -> Bpa:
+    """pBPAs whose rule bodies hold only later layers or Y, where the rule
+    Y -> Y Y makes the one cycle: a closure is acyclic unless it reaches Y."""
+    rules = [BpaRule("Y", ("Y", "Y"), H), BpaRule("Y", (), H)]
+    for i, head in enumerate(_LAYERS):
+        bodies = st.lists(st.sampled_from(_LAYERS[i + 1:] + ("Y",)), max_size=2).map(tuple)
+        chosen = draw(st.lists(bodies, min_size=1, max_size=3, unique=True))
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(chosen), max_size=len(chosen)))
+        rules += [BpaRule(head, body, Fraction(w, sum(weights))) for body, w in zip(chosen, weights)]
+    return Bpa.make(rules)
+
+
+# Until operands over the layered symbols: a guard holds everywhere but at a
+# few heads, the empty stack included, and a goal at a few heads only, or
+# it is a guard too.
+_layer_atoms = st.builds(Atom, st.sampled_from(_LAYERS + ("Y",)))
+_guards = st.lists(_layer_atoms, unique=True, max_size=2).map(lambda heads: Not(disjunction(heads)))
+_goals = st.one_of(st.lists(_layer_atoms, unique=True, min_size=1, max_size=2).map(disjunction), _guards)
+
+
+class TestNumericSummaries:
+    """In a budgeted session an until over propositional operands gets its exact
+    value from per-symbol numeric summaries where the symbols it reads are
+    acyclic; Kleene iteration, the unbudgeted walk and the full-region solve
+    are the independent references."""
+
+    @settings(max_examples=300)
+    @given(_layered_bpas(), st.lists(st.sampled_from(_LAYERS + ("Y",)), min_size=1, max_size=3), _guards, _goals)
+    def test_match_the_references(self, model, stack, f1, f2):
+        gen = induced_chain(model, Configuration(tuple(stack)))
+        session = Evaluator(gen, Budget(1, 1))
+        interval = session.prob_until(gen.initial, f1, f2)
+        h1, h2 = session.head_sets[f1], session.head_sets[f2]
+        zero = {x for x, summary in _kleene_support(model, h1, h2).items() if summary == (False, False)}
+        cyclic = _above_cycles(model, h1, h2, zero)
+        reference = _kleene_summaries(model, h1, h2)
+        summaries = session.summaries.get((f1, f2), {})
+        assert set(stack) <= summaries.keys()
+        for x, summary in summaries.items():
+            assert (summary is None) is (x in cyclic)
+            assert summary is None or summary == reference[x]
+        if not _folds(session, gen.initial, f1, f2):
+            return
+        assert interval.is_point
+        for budget in _REFERENCE_BUDGETS:
+            bounds = _full_region_until(gen, budget, f1, f2)
+            assert bounds.lo <= interval.lo <= bounds.hi
+        if not set(stack) & _above_cycles(model, h1, h2, set()):
+            # Every walk from the stack is finite, so the unbudgeted one is exact.
+            assert Evaluator(gen, None).prob_until(gen.initial, f1, f2) == interval
+
+    @settings(max_examples=100)
+    @given(_layered_bpas(), st.lists(st.lists(st.sampled_from(_LAYERS + ("Y",)), max_size=4), min_size=1, max_size=6),
+           _guards, _goals)
+    def test_memoized_suffixes_match_fresh_folds(self, model, stacks, f1, f2):
+        # Each query reads the suffixes earlier ones memoized; a fresh session
+        # folds the whole stack.
+        gen = induced_chain(model, Configuration(()))
+        session = Evaluator(gen, Budget(1, 1))
+        for stack in stacks:
+            state = Configuration(tuple(stack)).encode()
+            got = session.prob_until(state, f1, f2)
+            fresh = Evaluator(gen, Budget(1, 1))
+            expected = fresh.prob_until(state, f1, f2)
+            if _folds(fresh, state, f1, f2):
+                assert got == expected
+        for state, value in session.until_cache[(f1, f2)].items():
+            if isinstance(value, Fraction):
+                assert Evaluator(gen, Budget(1, 1)).prob_until(state, f1, f2) == ProbInterval(value, value)
+
+    def test_two_symbol_body_reads_its_top_first(self):
+        # Y and W each lose mass at B, where f1 fails, so the order of X's
+        # body matters: a_X = a_Y + t_Y·a_W = 1/3 + 1/3·1/2, not a_W + t_W·a_Y.
+        third = Fraction(1, 3)
+        model = Bpa.make([BpaRule("X", ("Y", "W"), Fraction(1)),
+                          BpaRule("Y", (), third), BpaRule("Y", ("G",), third), BpaRule("Y", ("B",), third),
+                          BpaRule("W", (), H), BpaRule("W", ("G",), H),
+                          BpaRule("G", ("G",), Fraction(1)), BpaRule("B", ("B",), Fraction(1))])
+        gen = induced_chain(model, Configuration(("X", "Y")))
+        f1, f2 = Not(Atom("B")), Atom("G")
+        session = Evaluator(gen, Budget(1, 1))
+        # P(X Y) = a_X + t_X·P(Y) = 1/2 + 1/6·1/3.
+        assert session.prob_until("X Y", f1, f2) == ProbInterval(Fraction(5, 9), Fraction(5, 9))
+        assert session.summaries[(f1, f2)] == {"X": (H, Fraction(1, 6)), "Y": (third, third), "W": (H, H),
+                                               "G": (Fraction(1), Fraction(0)), "B": (Fraction(0), Fraction(0))}
+        assert session.until_cache[(f1, f2)] == {"X Y": Fraction(5, 9), "Y": third}
+        assert Evaluator(gen, None).prob_until("X Y", f1, f2) == ProbInterval(Fraction(5, 9), Fraction(5, 9))
+
+    def test_check_configurations_fold_to_the_certified_values(self, p1, p1_artifact):
+        session = Evaluator(p1_artifact.chain, Budget(50, 20))
+        for word in ((1,), (2,), (1, 2), (2, 1, 1)):
+            report = reduction.certify(p1, word, artifact=p1_artifact)
+            state = reduction.check_config(p1_artifact, word).encode()
+            for phi, p in ((p1_artifact.phi1, report.p_phi1_at_N), (p1_artifact.phi2, report.p_phi2_at_N)):
+                assert session.prob_until(state, phi.left, phi.right) == ProbInterval(p, p)
+        assert session.region_cache == {}
+
+    def test_unbudgeted_session_fills_no_numeric_table(self, p1, p1_artifact):
+        session = reduction.sweep_session(p1_artifact, 2)
+        state = reduction.check_config(p1_artifact, (1, 2)).encode()
+        phi1 = p1_artifact.phi1
+        assert session.eval_state(state, Prob(Comparison.GT, Fraction(0), phi1)) is TRUE
+        assert session.prob_until(state, phi1.left, phi1.right).is_point
+        assert session.support and session.summaries == {}
+
+    def test_doubling_chain_stops_at_the_bit_limit(self):
+        # L_i -> L_{i+1} L_{i+1} doubles the bits of the summaries at every
+        # link: the lowest links are solved, the rest are left to the walk.
+        links = 40
+        rules = [BpaRule("B", ("B",), Fraction(1)),
+                 BpaRule(f"L{links - 1}", (), H), BpaRule(f"L{links - 1}", ("B",), H)]
+        for i in range(links - 1):
+            rules += [BpaRule(f"L{i}", (f"L{i + 1}",), H), BpaRule(f"L{i}", (f"L{i + 1}", f"L{i + 1}"), H)]
+        gen = induced_chain(Bpa.make(rules), Configuration(("L0",)))
+        budget = Budget(50, 10)
+        session = Evaluator(gen, budget)
+        assert session.prob_until("L0", TRUE_FORMULA, Atom("B")) == _full_region_until(
+            gen, budget, TRUE_FORMULA, Atom("B"))
+        summaries = session.summaries[(TRUE_FORMULA, Atom("B"))]
+        solved = [i for i in range(links) if summaries[f"L{i}"] is not None]
+        assert 10 < len(solved) < 20 and solved == list(range(links - len(solved), links))
+        a, t = summaries[f"L{solved[0]}"]
+        assert max(a.denominator, t.denominator).bit_length() <= pctl.SUMMARY_BITS
 
 
 class TestDemandDrivenUntil:
@@ -687,15 +899,20 @@ class TestDemandDrivenUntil:
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_full_region_solve(self, model, stack, f1, f2, max_states, max_depth):
         # Where the until's support is zero, the query returns the point 0
-        # without walking, and the full-region solve cannot bound it away from 0.
+        # without walking, and the full-region solve cannot bound it away from
+        # 0. Where the summaries the stack reads are acyclic, it returns the
+        # exact point, which the full-region interval contains.
         gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
-        interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
+        session = Evaluator(gen, budget)
+        interval = session.prob_until(gen.initial, f1, f2)
         reference = _full_region_until(gen, budget, f1, f2)
-        if _support_verdict(gen, f1, f2) is TRUE:
-            assert interval == reference
-        else:
+        if _support_verdict(gen, f1, f2) is not TRUE:
             assert interval == ProbInterval(Fraction(0), Fraction(0)) and reference.lo == 0
+        elif _folds(session, gen.initial, f1, f2):
+            assert interval.is_point and reference.lo <= interval.lo <= reference.hi
+        else:
+            assert interval == reference
 
     @settings(max_examples=200)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
@@ -716,18 +933,24 @@ class TestSessionUntilTables:
     """One session answers untils for several (f1, f2) pairs, each from its own table."""
 
     def test_open_states_are_not_memoized_as_points(self):
-        # At depth 1 the query at b cuts c, so b is [1/2, 1] and c is an open
-        # sink of it. A later query at c must not read c's lower bound back as
-        # its value: c's own region also cuts, and its true value is 1.
+        # f1 is not a head set, so the untils are walked. At depth 1 the query
+        # at b cuts c, so b is [1/2, 1] and c is an open sink of it. A later
+        # query at c must not read c's lower bound back as its value: c's own
+        # region also cuts, and its true value is 1.
         one = Fraction(1)
         table = {"b": [("c", H), ("win", H)], "c": [("d", one)], "d": [("win", one)],
                  "win": [("win", one)]}
         gen = gen_from(table, initial="b")
         session = Evaluator(gen, Budget(10, 1))
-        assert session.prob_until("b", TRUE_FORMULA, Atom("win")) == ProbInterval(H, one)
-        assert session.prob_until("c", TRUE_FORMULA, Atom("win")) == ProbInterval(Fraction(0), one)
-        assert session.until_cache[(TRUE_FORMULA, Atom("win"))] == {
+        always = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
+        assert session.prob_until("b", always, Atom("win")) == ProbInterval(H, one)
+        assert session.prob_until("c", always, Atom("win")) == ProbInterval(Fraction(0), one)
+        assert session.until_cache[(always, Atom("win"))] == {
             "b": ProbInterval(H, one), "c": ProbInterval(Fraction(0), one), "win": one}
+        # The propositional query folds both points from the symbol summaries.
+        assert session.prob_until("b", TRUE_FORMULA, Atom("win")) == ProbInterval(one, one)
+        assert session.prob_until("c", TRUE_FORMULA, Atom("win")) == ProbInterval(one, one)
+        assert session.until_cache[(TRUE_FORMULA, Atom("win"))] == {"b": one, "c": one}
 
     @settings(max_examples=200)
     @given(small_bpas(), _propositional(), _propositional(), _propositional(), _propositional(),

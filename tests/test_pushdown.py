@@ -194,6 +194,11 @@ class TestInducedChain:
         with pytest.raises(InvalidModelError, match=f"X -> ~: {reason}"):
             induced_chain(model, Configuration(("X",)))
 
+    def test_out_of_range_probability_flagged_once(self):
+        # The rule's probability is flagged, and its head's sum of 2 is not.
+        model = Bpa.make([BpaRule("X", ("X",), Fraction(3, 2)), BpaRule("X", (), H)])
+        assert [(p.subject, p.reason) for p in validate_model(model)] == [("X -> X", "probability 3/2 outside (0,1]")]
+
     def test_symbol_with_whitespace_rejected(self):
         # Before validation flagged it, the stack ("X Y",) stepped by the
         # rule of X instead of popping.
