@@ -65,73 +65,25 @@ def path_probability(gen: ChainGenerator, path: FinitePath) -> Fraction:
     return prob
 
 
-class Exploration:
-    """A breadth-first closure from ``start`` that is run only as far as asked.
-
-    A discovered state is expanded while fewer than ``max_states`` states
-    have been expanded and its depth is below ``max_depth``; everything
-    discovered but not expanded is frontier. States are classified in
-    dequeue order, so any prefix of the search classifies each of its
-    states as the whole search does. ``is_settled`` advances the search
-    until the state asked about is classified; ``run`` finishes it. One
-    map holds every discovered state, with True for settled, False for
-    frontier and None while queued; the queue holds each state's depth and
-    is dropped once it is empty.
-    """
-
-    def __init__(self, gen: ChainGenerator, start: ChainState, budget: Budget) -> None:
-        self._successors = gen.successors
-        self._max_states = budget.max_states
-        self._max_depth = budget.max_depth
-        self.settled_count = 0
-        self._status: dict[ChainState, bool | None] = {start: None}
-        self._queue: deque[tuple[ChainState, int]] | None = deque([(start, 0)])
-
-    def is_settled(self, state: ChainState) -> bool:
-        """Whether the whole search expands ``state``, which it must discover."""
-        status = self._status.get(state)
-        if status is None:
-            self._advance(state)
-            status = self._status.get(state)
-            if status is None:
-                raise ValueError(f"state {state!r} is not discovered from the start")
-        return status
-
-    def run(self) -> ExploreResult:
-        self._advance(None)
-        status = self._status
-        return ExploreResult(frozenset(s for s in status if status[s]),
-                             frozenset(s for s in status if not status[s]))
-
-    def _advance(self, target: ChainState | None) -> None:
-        """Classify queued states until ``target`` is classified, or all of them."""
-        queue = self._queue
-        if queue is None:
-            return
-        status, successors = self._status, self._successors
-        max_states, max_depth, settled = self._max_states, self._max_depth, self.settled_count
-        while queue:
-            state, level = queue.popleft()
-            if level >= max_depth or settled >= max_states:
-                status[state] = False
-            else:
-                status[state] = True
-                settled += 1
-                for next_state, _ in successors(state):
-                    if next_state not in status:
-                        status[next_state] = None
-                        queue.append((next_state, level + 1))
-            if state == target:
-                break
-        self.settled_count = settled
-        if not queue:
-            self._queue = None
-
-
 def explore(gen: ChainGenerator, start: ChainState, budget: Budget) -> ExploreResult:
     """Breadth-first closure from ``start`` under the given limits.
 
-    The whole ``Exploration``: deterministic for fixed limits, and enlarging
-    limits never removes settled states.
+    A discovered state is expanded while fewer than ``max_states`` states
+    have been expanded and its depth is below ``max_depth``; everything
+    discovered but not expanded is frontier. Deterministic for fixed limits,
+    and enlarging limits never removes settled states.
     """
-    return Exploration(gen, start, budget).run()
+    settled, frontier = [], []
+    seen = {start}
+    queue = deque([(start, 0)])
+    while queue:
+        state, level = queue.popleft()
+        if level >= budget.max_depth or len(settled) >= budget.max_states:
+            frontier.append(state)
+            continue
+        settled.append(state)
+        for next_state, _ in gen.successors(state):
+            if next_state not in seen:
+                seen.add(next_state)
+                queue.append((next_state, level + 1))
+    return ExploreResult(frozenset(settled), frozenset(frontier))

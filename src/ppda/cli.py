@@ -203,8 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--config", required=True)
     p_eval.add_argument("--formula", required=True)
     p_eval.add_argument("--t", default=None, help="value for ?t placeholders, 0 < t < 1")
-    p_eval.add_argument("--max-states", type=int, default=5000)
-    p_eval.add_argument("--max-depth", type=int, default=64)
+    p_eval.add_argument("--max-states", type=int, default=5000,
+                        help="how many until-variables one query's walk may expand")
+    p_eval.add_argument("--max-depth", type=int, default=64,
+                        help="how deep in that walk an until-variable may lie")
     p_eval.set_defaults(func=_cmd_eval)
 
     p_lemmas = sub.add_parser("lemmas", help="run the seeded property suite")

@@ -7,8 +7,8 @@ they hold in the exact semantics, otherwise Unknown. Whether an until with
 propositional operands has positive probability is decided exactly, from
 per-symbol Boolean summaries. In a budgeted session such an until also gets
 its exact value from per-symbol numeric summaries wherever the symbols its
-stack reaches form no cycle. The rest is decided from a bounded
-exploration. Probabilities of path formulas are returned as exact rational
+stack reaches form no cycle. The rest is decided from a walk that the
+budget cuts. Probabilities of path formulas are returned as exact rational
 intervals that are guaranteed to contain the true value and that nest as
 the budget grows.
 """
@@ -21,9 +21,10 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import inf
 from typing import Callable, Union
 
-from .chain import Budget, ChainState, Exploration
+from .chain import Budget, ChainState
 from .errors import PpdaInputError, bounded, quote
 from .pushdown import EMPTY_MARK, ChainGenerator, Configuration, UnknownSymbolError
 from .rationals import format_rational
@@ -524,15 +525,16 @@ class Evaluator:
     without walking, unless the fold meets a None. An unbudgeted session
     solves no numeric summaries and skips both: its walk is exact anyway.
 
-    Until-queries that remain are demand-driven: each query state's
-    breadth-first region is advanced only as far as the states the query
-    walks to, and only the states reachable from it through until-variables
-    are classified and solved.
+    Until-queries that remain walk breadth-first from the query state
+    through until-variables, and classify and solve only the states that
+    walk reaches. The budget limits the walk alone: a state that would be a
+    variable is cut to an open sink once its depth in the walk reaches
+    ``max_depth`` or ``max_states`` variables have been expanded.
 
-    ``budget=None`` means no limit and builds no region: every walked state
-    that passes the operand tests and is not absorbing is a variable. Use it
-    only on chains whose until-walks are finite, such as the reduction's
-    popping chains; on any other chain a query does not return.
+    ``budget=None`` cuts nothing: every walked state that passes the operand
+    tests and is not absorbing is a variable. Use it only on chains whose
+    until-walks are finite, such as the reduction's popping chains; on any
+    other chain a query does not return.
 
     Until results are memoized per formula pair: ``until_cache[(f1, f2)]``
     maps a state to its exact value as a bare ``Fraction``, for every
@@ -551,7 +553,6 @@ class Evaluator:
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
         self.support: dict[tuple, dict[str, tuple[bool, bool]]] = {}
         self.summaries: dict[tuple, dict[str, tuple[Fraction, Fraction] | None]] = {}
-        self.region_cache: dict[ChainState, Exploration] = {}
 
     def eval_state(self, state: ChainState, formula: StateFormula) -> ThreeValued:
         # The hot path: the memo read is inlined, as a call to _compile on
@@ -691,16 +692,16 @@ class Evaluator:
         return interval
 
     def _until_sink(
-        self, d: ChainState, f1: StateFormula, f2: StateFormula, region: Exploration | None, table: dict
+        self, d: ChainState, f1: StateFormula, f2: StateFormula, cut: bool, table: dict
     ) -> tuple[Fraction, Fraction] | None:
         """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
 
-        A variable is settled in ``region``, if there is one, satisfies f1
-        and not f2, and is not absorbing. A state already resolved to a
-        point in this session, a ``Fraction`` in ``table`` (the formula
-        pair's memo), is an exact sink. The one sink that is not a point is
-        ``_OPEN_SINK``. f1 is evaluated only where f2 is not True, and the
-        region is advanced only for a state that could be a variable.
+        A variable satisfies f1 and not f2, is not ``cut`` by the budget, and
+        is not absorbing. A state already resolved to a point in this
+        session, a ``Fraction`` in ``table`` (the formula pair's memo), is an
+        exact sink. The one sink that is not a point is ``_OPEN_SINK``: a
+        state where an operand is Unknown, or a cut one. f1 is evaluated only
+        where f2 is not True.
         """
         known = table.get(d)
         if isinstance(known, Fraction):
@@ -711,7 +712,7 @@ class Evaluator:
         left = self.eval_state(d, f1)
         if right is FALSE and left is FALSE:
             return _FALSE_SINK
-        if right is not FALSE or left is not TRUE or (region is not None and not region.is_settled(d)):
+        if right is not FALSE or left is not TRUE or cut:
             return _OPEN_SINK
         if self.gen.successors(d) == [(d, ONE)]:
             # Absorbing state where f2 is definitively false: the run
@@ -722,27 +723,30 @@ class Evaluator:
     def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict):
         """Yield ``(d, sink)`` for each state reachable from ``state`` through variables.
 
-        Breadth-first from ``state`` over the until's region at ``state``
-        (none without a budget); ``sink`` is ``_until_sink`` of ``d``,
+        Breadth-first from ``state``; ``sink`` is ``_until_sink`` of ``d``,
         classified when ``d`` is reached, and only a variable's successors
-        are walked. The least fixed point at ``state`` depends only on the
-        states yielded.
+        are walked. The budget cuts the walk: a state that would be a
+        variable is cut once its depth reaches ``max_depth`` or
+        ``max_states`` variables have been expanded; without a budget
+        nothing is cut. The least fixed point at ``state`` depends only on
+        the states yielded.
         """
-        region = None if self.budget is None else self.region_cache.get(state)
-        if region is None and self.budget is not None:
-            region = self.region_cache[state] = Exploration(self.gen, state, self.budget)
+        budget = self.budget
+        max_states, max_depth = (budget.max_states, budget.max_depth) if budget else (inf, inf)
         successors = self.gen.successors
+        expanded = 0
         seen = {state}
-        queue = deque([state])
+        queue = deque([(state, 0)])
         while queue:
-            d = queue.popleft()
-            sink = self._until_sink(d, f1, f2, region, table)
+            d, depth = queue.popleft()
+            sink = self._until_sink(d, f1, f2, depth >= max_depth or expanded >= max_states, table)
             yield d, sink
             if sink is None:
+                expanded += 1
                 for target, _ in successors(d):
                     if target not in seen:
                         seen.add(target)
-                        queue.append(target)
+                        queue.append((target, depth + 1))
 
     def _positive(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> bool | None:
         """Whether ``P(f1 U f2) > 0`` at ``state``, exactly; None unless both operands

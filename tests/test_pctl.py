@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import SYMBOLS, gen_from, small_bpas
 from ppda import pctl, reduction
-from ppda.chain import Budget, Exploration, explore
+from ppda.chain import Budget, explore
 from ppda.cli import main
 from ppda.pctl import (
     MAX_NESTING,
@@ -443,7 +443,7 @@ class TestHeadSets:
         session = Evaluator(gen, Budget(100, 1000))
         until = parse_path_formula(REACH_EMPTY)
         assert session.prob_until("X", until.left, until.right).lo > 0
-        assert session.region_cache and gen._succ_cache
+        assert session.until_cache and gen._succ_cache
         refs = [weakref.ref(gen), weakref.ref(session)]
         gc.disable()
         try:
@@ -462,7 +462,8 @@ class TestHeadSets:
         expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", until.left, until.right)
         session = Evaluator(gen, Budget(100, 1000))
         assert session.prob_until("X", until.left, until.right) == expected
-        assert expected.lo > 0 and session.region_cache
+        # The value is 1, so an open interval shows that the walk ran and was cut.
+        assert 0 < expected.lo < expected.hi
         assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
 
 
@@ -485,40 +486,49 @@ class TestQualitativeUntil:
             if solved is not UNKNOWN:
                 assert verdict is solved
 
-    def test_top_formula_stops_at_the_witness(self, p1, p1_artifact):
+    def test_top_formula_stops_at_the_witness(self, p1, p1_artifact, monkeypatch):
         from ppda import reduction
 
         t = reduction.certify(p1, (1, 2), artifact=p1_artifact).t
         top = reduction.instantiate_top_formula(p1_artifact, t)
         budget = Budget(100_000, 30)
-        evaluator = Evaluator(p1_artifact.chain, budget)
-        assert evaluator.eval_state("Z", top) is TRUE
-        region = explore(p1_artifact.chain, "Z", budget)
-        checkpoints = [s for s in region.settled | region.frontier
-                       if "C" in p1_artifact.chain.labels(s)]
-        # Measured: the region at Z holds 1,022 C-configurations and 9,967
-        # settled states. The search for a C-configuration where the inner
-        # formula holds stops at the witness 1,2. The inner untils fold from
-        # the numeric summaries, so Z's is the one entry. The exploration at
-        # Z is advanced only as far as the search walks, which settles 31
-        # states.
+        gen = p1_artifact.chain
+        region = explore(gen, "Z", budget)
+        checkpoints = [s for s in region.settled | region.frontier if "C" in gen.labels(s)]
+        asked = set()
+        successors = gen.successors
+        monkeypatch.setattr(gen, "successors", lambda state: asked.add(state) or successors(state))
+        assert Evaluator(gen, budget).eval_state("Z", top) is TRUE
+        # Measured: the budget's reach from Z holds 1,022 C-configurations
+        # and 9,967 expanded states. The search for a C-configuration where
+        # the inner formula holds stops at the witness 1,2. The inner untils
+        # fold from the numeric summaries, so the only walk is Z's, and it
+        # stops after 31 variables; the 32nd state is the witness, whose
+        # successors the inner next-operator reads.
         assert len(checkpoints) == 1022
         assert len(region.settled) == 9967
-        assert len(evaluator.region_cache) <= 5
-        assert evaluator.region_cache["Z"].settled_count <= 31
+        assert len(asked) <= 32
 
     def test_hopeless_top_formula_builds_one_exploration(self, monkeypatch):
         # No word solves this instance, so the outer until is cut by the
         # budget and the verdict stays Unknown. The inner untils at its 1,022
-        # C-configurations fold from the numeric summaries, so the one
-        # exploration is the outer until's, at Z.
-        built = []
-        monkeypatch.setattr(pctl, "Exploration", lambda *args: built.append(args[1]) or Exploration(*args))
+        # C-configurations fold from the numeric summaries, so the one walk
+        # is the outer until's, at Z, and the budget cuts it.
+        walks, sinks = [], []
+        walk = Evaluator._walk
+
+        def recording_walk(self, state, f1, f2, table):
+            walks.append(state)
+            for d, sink in walk(self, state, f1, f2, table):
+                sinks.append(sink)
+                yield d, sink
+
+        monkeypatch.setattr(Evaluator, "_walk", recording_walk)
         artifact = reduction.compile_instance(reduction.PcpInstance((("AB", "BA"), ("BA", "AB"))))
         top = reduction.instantiate_top_formula(artifact, Fraction(5, 16))
         evaluator = Evaluator(artifact.chain, Budget(100_000, 30))
         assert evaluator.eval_state("Z", top) is UNKNOWN
-        assert built == ["Z"] and evaluator.region_cache.keys() == {"Z"}
+        assert walks == ["Z"] and pctl._OPEN_SINK in sinks
 
 
 def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
@@ -546,6 +556,46 @@ def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInter
     lo = _least_fixed_point(variables, gen.successors, sink_lo)[gen.initial]
     hi = _least_fixed_point(variables, gen.successors, sink_hi)[gen.initial]
     return ProbInterval(lo, hi)
+
+
+def _walk_cut_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
+    """The until-interval at the start from a walk through variables, level by
+    level, that cuts a candidate variable at depth ``max_depth`` or once
+    ``max_states`` variables are expanded; then solve for both bounds."""
+    operands = Evaluator(gen, budget)  # the operands' verdicts do not depend on the budget
+    sink_lo, sink_hi, variables = {}, {}, []
+    seen, level, depth = {gen.initial}, [gen.initial], 0
+    while level:
+        below = []
+        for d in level:
+            right, left = operands.eval_state(d, f2), operands.eval_state(d, f1)
+            if right is TRUE:
+                sink = (Fraction(1), Fraction(1))
+            elif right is FALSE and left is FALSE:
+                sink = (Fraction(0), Fraction(0))
+            elif (right is not FALSE or left is not TRUE or depth >= budget.max_depth
+                  or len(variables) >= budget.max_states):
+                sink = (Fraction(0), Fraction(1))
+            elif gen.successors(d) == [(d, Fraction(1))]:
+                sink = (Fraction(0), Fraction(0))
+            else:
+                variables.append(d)
+                fresh = [t for t, _ in gen.successors(d) if t not in seen]
+                seen.update(fresh)
+                below += fresh
+                continue
+            sink_lo[d], sink_hi[d] = sink
+        level, depth = below, depth + 1
+    if gen.initial in sink_lo:
+        return ProbInterval(sink_lo[gen.initial], sink_hi[gen.initial])
+    lo = _least_fixed_point(variables, gen.successors, sink_lo)[gen.initial]
+    hi = _least_fixed_point(variables, gen.successors, sink_hi)[gen.initial]
+    return ProbInterval(lo, hi)
+
+
+# Holds at every state, by a next-operator: an until whose left operand is
+# conjoined with it has the same value but is always walked, never folded.
+_EVERYWHERE = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
 
 
 def _support_verdict(gen: ChainGenerator, f1, f2):
@@ -728,7 +778,6 @@ class TestUntilSupport:
         assert session.prob_until("X", Not(Atom("Z")), Atom("Z")) == ProbInterval(Fraction(0), Fraction(0))
         assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
         assert session.eval_state("X", parse_formula("(P= 0 (U (not (ap Z)) (ap Z)))")) is TRUE
-        assert session.region_cache == {}
         assert session.support[(Not(Atom("Z")), Atom("Z"))] == {"X": (False, True), "Y": (False, True)}
 
     def test_empty_stack_decides_when_every_symbol_pops(self):
@@ -861,7 +910,6 @@ class TestNumericSummaries:
             state = reduction.check_config(p1_artifact, word).encode()
             for phi, p in ((p1_artifact.phi1, report.p_phi1_at_N), (p1_artifact.phi2, report.p_phi2_at_N)):
                 assert session.prob_until(state, phi.left, phi.right) == ProbInterval(p, p)
-        assert session.region_cache == {}
 
     def test_unbudgeted_session_fills_no_numeric_table(self, p1, p1_artifact):
         session = reduction.sweep_session(p1_artifact, 2)
@@ -892,7 +940,7 @@ class TestNumericSummaries:
 
 
 class TestDemandDrivenUntil:
-    """Until-queries walk and explore only what they reach; the values must not change."""
+    """Until-queries walk only what they reach, and the budget cuts that walk."""
 
     @settings(max_examples=300)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
@@ -901,32 +949,56 @@ class TestDemandDrivenUntil:
         # Where the until's support is zero, the query returns the point 0
         # without walking, and the full-region solve cannot bound it away from
         # 0. Where the summaries the stack reads are acyclic, it returns the
-        # exact point, which the full-region interval contains.
+        # exact point, which both references contain. Elsewhere it is the
+        # walk-cut interval, and as both contain the true value, it meets the
+        # full-region one. The walk is rare here, so the always-walked form of
+        # the same until is checked on every example.
         gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
         session = Evaluator(gen, budget)
         interval = session.prob_until(gen.initial, f1, f2)
         reference = _full_region_until(gen, budget, f1, f2)
+        walked = _walk_cut_until(gen, budget, f1, f2)
         if _support_verdict(gen, f1, f2) is not TRUE:
             assert interval == ProbInterval(Fraction(0), Fraction(0)) and reference.lo == 0
         elif _folds(session, gen.initial, f1, f2):
-            assert interval.is_point and reference.lo <= interval.lo <= reference.hi
+            assert interval.is_point
+            for bounds in (reference, walked):
+                assert bounds.lo <= interval.lo <= bounds.hi
         else:
-            assert interval == reference
+            assert interval == walked
+            assert max(interval.lo, reference.lo) <= min(interval.hi, reference.hi)
+        left = And(_EVERYWHERE, f1)
+        forced = Evaluator(gen, budget).prob_until(gen.initial, left, f2)
+        assert forced == _walk_cut_until(gen, budget, left, f2)
+        assert max(forced.lo, reference.lo) <= min(forced.hi, reference.hi)
 
-    @settings(max_examples=200)
+    @settings(max_examples=300)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
-           st.integers(1, 40), st.integers(1, 8), st.randoms(use_true_random=False))
-    def test_resumable_exploration_matches_explore(self, model, stack, max_states, max_depth, rng):
+           _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8),
+           st.integers(0, 40), st.integers(0, 8))
+    def test_intervals_nest_as_the_budget_grows(self, model, stack, f1, f2, max_states, max_depth,
+                                                more_states, more_depth):
+        # Most of these untils fold from the summaries, so each is also asked
+        # in the form that is always walked.
         gen = induced_chain(model, Configuration(tuple(stack)))
-        budget = Budget(max_states, max_depth)
-        full = explore(gen, gen.initial, budget)
-        discovered = sorted(full.settled | full.frontier)
-        rng.shuffle(discovered)
-        region = Exploration(gen, gen.initial, budget)
-        for state in discovered:
-            assert region.is_settled(state) is (state in full.settled)
-        assert region.run() == full
+        for left in (f1, And(_EVERYWHERE, f1)):
+            small = Evaluator(gen, Budget(max_states, max_depth)).prob_until(gen.initial, left, f2)
+            large = Evaluator(gen, Budget(max_states + more_states, max_depth + more_depth)).prob_until(
+                gen.initial, left, f2)
+            assert small.lo <= large.lo <= large.hi <= small.hi
+
+    def test_budget_cuts_variables_by_count_and_depth(self):
+        # s_i moves on around a ring of 12 or to its goal g_i, each with 1/2.
+        # The ring is a cycle, so the until is walked, not folded, and its
+        # value is 1. A walk that expands k variables gives [1 - 2^-k, 1]; the
+        # goals are sinks and count towards neither limit.
+        n = 12
+        gen = gen_from({f"s{i}": [(f"s{(i + 1) % n}", H), (f"g{i}", H)] for i in range(n)}, initial="s0")
+        goal = disjunction([Atom(f"g{i}") for i in range(n)])
+        for budget, k in ((Budget(5, 100), 5), (Budget(100, 5), 5), (Budget(3, 4), 3), (Budget(4, 3), 3)):
+            assert Evaluator(gen, budget).prob_until("s0", TRUE_FORMULA, goal) == ProbInterval(1 - H**k, Fraction(1))
+        assert Evaluator(gen, None).prob_until("s0", TRUE_FORMULA, goal) == ProbInterval(Fraction(1), Fraction(1))
 
 
 class TestSessionUntilTables:

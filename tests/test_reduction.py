@@ -329,7 +329,6 @@ class TestCertify:
             state = reduction.Configuration((head,) + config.stack[1:]).encode()
             iv = session.prob_until(state, phi.left, phi.right)
             assert iv == pctl.ProbInterval(value, value) and value == 2 * at_n
-        assert session.region_cache == {}
 
     @pytest.mark.parametrize("budget", [None, Budget(2, 2)])
     def test_session_must_be_the_artifacts_unbudgeted_one(self, p1, p1_artifact, budget):
