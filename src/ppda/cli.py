@@ -25,7 +25,7 @@ USAGE = 2
 
 _INPUT_ERRORS = (PpdaInputError, OSError)
 
-# The most index words `search` and `solve` enumerate, counting every word
+# The most index words `search` enumerates, counting every word
 # up to --max-k (n + n^2 + ... + n^K for n pairs). A certification session
 # holds about 5 KB per word on a 3-pair instance of pad length 3, so a
 # reduction search at the limit needs about 0.5 GB.
@@ -109,11 +109,6 @@ def _cmd_search(args) -> int:
     return OK if found is not None else NEGATIVE
 
 
-def _cmd_solve(args) -> int:
-    args.engine = "brute"
-    return _cmd_search(args)
-
-
 def _cmd_eval(args) -> int:
     model = parse_model(read_text(args.model))
     formula = parse_formula(read_text(args.formula).strip())
@@ -190,13 +185,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="search for a solution word")
     p_search.add_argument("--instance", required=True)
     p_search.add_argument("--max-k", type=int, required=True, help=_MAX_K_HELP)
-    p_search.add_argument("--engine", choices=("reduction", "brute", "both"), default="reduction")
+    p_search.add_argument("--engine", choices=("reduction", "brute", "both"), default="reduction", help=(
+        "reduction: certify each word on the compiled model; brute: direct word comparison, "
+        "no pushdown model; both: run the two and check that they agree"))
     p_search.set_defaults(func=_cmd_search)
-
-    p_solve = sub.add_parser("solve", help="brute-force search (no pushdown model)")
-    p_solve.add_argument("--instance", required=True)
-    p_solve.add_argument("--max-k", type=int, required=True, help=_MAX_K_HELP)
-    p_solve.set_defaults(func=_cmd_solve)
 
     p_eval = sub.add_parser("eval", help="evaluate a formula on a model configuration")
     p_eval.add_argument("--model", required=True)

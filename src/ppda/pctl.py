@@ -515,15 +515,15 @@ class Evaluator:
     says so (``_positive``), whatever the budget. So ``P>0`` and ``P=0``
     over it are always True or False.
 
-    A budgeted session also solves the numeric summaries in the same call:
-    ``summaries[(f1, f2)]`` maps each of those symbols to its exact
-    ``(a_X, t_X)``, the probabilities of satisfying the until before X is
-    popped and of popping X with f1 throughout and f2 never, or to None
-    where the symbols its rules reach form a cycle. Then ``P(X·α) = a_X +
-    t_X·P(α)``, so ``prob_until`` returns the point 0 where the Boolean
+    The same call solves the numeric summaries: ``summaries[(f1, f2)]``
+    maps each of those symbols to its exact ``(a_X, t_X)``, the
+    probabilities of satisfying the until before X is popped and of popping
+    X with f1 throughout and f2 never, or to None where the symbols its
+    rules reach form a cycle. Then ``P(X·α) = a_X + t_X·P(α)``, so in a
+    budgeted session ``prob_until`` returns the point 0 where the Boolean
     fold says zero, and elsewhere the point ``_point`` folds from the stack
-    without walking, unless the fold meets a None. An unbudgeted session
-    solves no numeric summaries and skips both: its walk is exact anyway.
+    without walking, unless the fold meets a None. An unbudgeted session's
+    ``prob_until`` reads neither and walks: its walk is exact anyway.
 
     Until-queries that remain walk breadth-first from the query state
     through until-variables, and classify and solve only the states that
@@ -757,8 +757,8 @@ class Evaluator:
         whether X can be popped with f1 holding throughout and f2 never. The
         answer is the ``a`` of ``_fold`` of the query stack over the empty
         stack, whose ``a`` is whether f2 holds there. When the fold meets a
-        symbol not solved yet, ``_solve_support`` solves the stack's symbols,
-        and in a budgeted session their ``summaries`` too.
+        symbol not solved yet, ``_solve_support`` solves the stack's symbols
+        and their ``summaries``.
         """
         h1, h2 = self._compile(f1), self._compile(f2)
         if h1 is None or h2 is None:
@@ -768,7 +768,7 @@ class Evaluator:
         try:
             return _fold(stack, table, (None in h2, False))[0]
         except KeyError:
-            numeric = None if self.budget is None else self.summaries.setdefault((f1, f2), {})
+            numeric = self.summaries.setdefault((f1, f2), {})
             _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack, numeric)
             return _fold(stack, table, (None in h2, False))[0]
 
@@ -855,11 +855,11 @@ SUMMARY_BITS = 1 << 16
 
 
 def _solve_support(
-    rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...], numeric: dict | None = None
+    rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...], numeric: dict
 ) -> None:
     """Extend ``table``, symbol -> ``(a, t)`` for one until, to the unsolved
-    ``roots`` and the unsolved symbols they reach, and ``numeric``, if given,
-    to the same symbols.
+    ``roots`` and the unsolved symbols they reach, and ``numeric`` to the
+    same symbols.
 
     These are the least solution of the Boolean summary equations (Esparza,
     Kucera and Mayr, LICS 2004): a symbol in H_f2 is ``(True, False)``, one
@@ -906,8 +906,6 @@ def _solve_support(
         if (body_a and not a) or (body_t and not t):
             table[x] = (a or body_a, t or body_t)
             queue.extend(readers.get(x, ()))
-    if numeric is None:
-        return
     for x in new:
         numeric[x] = (ONE, ZERO) if x in h2 else (ZERO, ZERO) if table[x] == (False, False) else None
     waiting = {x: sum(numeric[y] is None for rule in rules_by_head[x] for y in rule.body)

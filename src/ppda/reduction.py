@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
+from typing import Callable, Mapping
 
 from . import pctl
 from .chain import FinitePath
@@ -307,30 +307,15 @@ DEFAULT_VARIANT = Variant()
 # Formulas
 
 
-def build_phi1() -> PathFormula:
-    """Popping survives left letters other than checked A/B markers until an
-    A-marked check appears."""
+def build_phi(stop: str, marker: Callable[[str, str], str], other: str, hit: str) -> PathFormula:
+    """Popping passes neither the ``stop`` branch marker nor a checked pair
+    whose letter on this side is ``other`` or ``hit``, until one whose
+    letter is ``hit`` appears. ``marker(x, z)`` is the checked symbol with
+    letter x on this side and z on the other."""
     guard = conjunction(
-        [Not(Atom("S"))]
-        + [
-            And(Not(Atom(checked_symbol("B", z))), Not(Atom(checked_symbol("A", z))))
-            for z in SIGMA
-        ]
+        [Not(Atom(stop))] + [And(Not(Atom(marker(other, z))), Not(Atom(marker(hit, z)))) for z in SIGMA]
     )
-    target = disjunction([Atom(checked_symbol("A", z)) for z in SIGMA])
-    return Until(guard, target)
-
-
-def build_phi2() -> PathFormula:
-    guard = conjunction(
-        [Not(Atom("F"))]
-        + [
-            And(Not(Atom(checked_symbol(z, "A"))), Not(Atom(checked_symbol(z, "B"))))
-            for z in SIGMA
-        ]
-    )
-    target = disjunction([Atom(checked_symbol(z, "B")) for z in SIGMA])
-    return Until(guard, target)
+    return Until(guard, disjunction([Atom(marker(hit, z)) for z in SIGMA]))
 
 
 def _inner_conjunction(phi1: PathFormula, phi2: PathFormula) -> StateFormula:
@@ -340,11 +325,18 @@ def _inner_conjunction(phi1: PathFormula, phi2: PathFormula) -> StateFormula:
     )
 
 
-def build_top_formula(variant: Variant, phi1: PathFormula, phi2: PathFormula) -> StateFormula:
-    inner = _inner_conjunction(phi1, phi2)
-    if variant.kind is VariantKind.CF_SIMPLE:
+# The formulas do not depend on the instance, only on the fixed letter
+# alphabet, so every artifact shares the same interned nodes; they are built
+# once, at import. phi1 reads the u-side of each checked pair, phi2 the v-side.
+PHI1 = build_phi("S", checked_symbol, "B", "A")
+PHI2 = build_phi("F", lambda x, z: checked_symbol(z, x), "A", "B")
+
+
+def build_top_formula(kind: VariantKind) -> StateFormula:
+    inner = _inner_conjunction(PHI1, PHI2)
+    if kind is VariantKind.CF_SIMPLE:
         reached = And(Atom("C"), inner)
-    elif variant.kind is VariantKind.N_CHAIN:
+    elif kind is VariantKind.N_CHAIN:
         reached = And(
             Atom("C"),
             Prob(
@@ -358,12 +350,7 @@ def build_top_formula(variant: Variant, phi1: PathFormula, phi2: PathFormula) ->
     return Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, reached))
 
 
-# The formulas do not depend on the instance, only on the fixed letter
-# alphabet, so every artifact shares the same interned nodes; they are built
-# once, at import.
-PHI1 = build_phi1()
-PHI2 = build_phi2()
-_TOP_FORMULAS = {kind: build_top_formula(Variant(kind), PHI1, PHI2) for kind in VariantKind}
+_TOP_FORMULAS = {kind: build_top_formula(kind) for kind in VariantKind}
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +409,17 @@ def compile_instance(instance: PcpInstance, variant: Variant = DEFAULT_VARIANT) 
                 BpaRule(guess_symbol(i, m + 1), (guess_symbol(k, 1),), Fraction(1, n + 1))
             )
 
-    # Checking phase: branch to the u-side (F) or v-side (S) and pop.
+    # Checking phase: branch to the u-side (F) or v-side (S) and pop, at C
+    # under `cf-simple`, and after the links C -> N1 -> ... -> Nk -> N under
+    # `n-chain k`, of which `default` is the case k = 0.
     if variant.kind is VariantKind.CF_SIMPLE:
         rules.append(BpaRule("C", ("F",), HALF))
         rules.append(BpaRule("C", ("S",), HALF))
-    elif variant.kind is VariantKind.N_CHAIN:
-        links = [f"N{i}" for i in range(1, variant.chain_length + 1)] + ["N"]
-        rules.append(BpaRule("C", (links[0],), ONE))
+    else:
+        length = variant.chain_length if variant.kind is VariantKind.N_CHAIN else 0
+        links = ["C"] + [f"N{i}" for i in range(1, length + 1)] + ["N"]
         for src, dst in zip(links, links[1:]):
             rules.append(BpaRule(src, (dst,), ONE))
-        rules.append(BpaRule("N", ("F",), HALF))
-        rules.append(BpaRule("N", ("S",), HALF))
-    else:
-        rules.append(BpaRule("C", ("N",), ONE))
         rules.append(BpaRule("N", ("F",), HALF))
         rules.append(BpaRule("N", ("S",), HALF))
     rules.append(BpaRule("F", (), ONE))
@@ -591,7 +576,7 @@ def certify(
         session = pctl.Evaluator(artifact.chain, None)
     elif session.gen is not artifact.chain or session.budget is not None:
         raise ValueError("a session must be this artifact's sweep_session, without a budget")
-    state = Configuration((artifact.check_head,) + _guess_stack(artifact.padded, word)).encode()
+    state = check_config(artifact, word).encode()
     p1 = session.prob_until(state, artifact.phi1.left, artifact.phi1.right).lo
     p2 = session.prob_until(state, artifact.phi2.left, artifact.phi2.right).lo
     t = 2 * p1

@@ -112,11 +112,11 @@ class TestSearch:
     def test_zero_bound_rejected(self, p1_file):
         assert main(["search", "--instance", p1_file, "--max-k", "0"]) == 2
 
-    def test_solve_is_brute_shorthand(self, p1_file, capsys):
-        assert main(["solve", "--instance", p1_file, "--max-k", "2"]) == 0
+    def test_brute_engine_finds_the_witness(self, p1_file, capsys):
+        assert main(["search", "--instance", p1_file, "--max-k", "2", "--engine", "brute"]) == 0
         assert capsys.readouterr().out.strip() == "1,2"
 
-    @pytest.mark.parametrize("command", [["search", "--engine", "both"], ["solve"]])
+    @pytest.mark.parametrize("command", [["search", "--engine", "both"], ["search", "--engine", "brute"]])
     def test_max_k_over_the_word_limit_refused(self, tmp_path, capsys, monkeypatch, command):
         # 3 pairs and --max-k 20 are about 5.2e9 index words: refused
         # before either engine starts.
@@ -147,10 +147,9 @@ class TestSearch:
             cli.check_search_cost(2, 10**15)
 
     def test_word_limit_in_help(self, capsys):
-        for command in ("search", "solve"):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            assert "100000 words" in " ".join(capsys.readouterr().out.split())
+        with pytest.raises(SystemExit):
+            main(["search", "--help"])
+        assert "100000 words" in " ".join(capsys.readouterr().out.split())
 
     def test_non_utf8_instance_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.pcp"

@@ -467,6 +467,11 @@ class TestHeadSets:
         assert session.eval_state("X", parse_formula(CYCLIC_QUERY)) is FALSE
 
 
+# Holds at every state, by a next-operator: an until whose left operand is
+# conjoined with it has the same value but is always walked, never folded.
+_EVERYWHERE = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
+
+
 class TestQualitativeUntil:
     """Bound-0 untils over propositional operands are decided exactly; the
     verdicts must agree with the solve wherever the solved interval decides."""
@@ -475,16 +480,21 @@ class TestQualitativeUntil:
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_solved_interval(self, model, stack, f1, f2, max_states, max_depth):
+        # The always-walked form is decided by the walk, which sees exactly
+        # the states the solve sees, so its verdict is the solved one.
         gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
-        interval = Evaluator(gen, budget).prob_until(gen.initial, f1, f2)
-        for comparison in Comparison:
-            formula = Prob(comparison, Fraction(0), Until(f1, f2))
-            verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
-            assert verdict is not UNKNOWN
-            solved = compare(interval, comparison, Fraction(0))
-            if solved is not UNKNOWN:
-                assert verdict is solved
+        for left in (f1, And(_EVERYWHERE, f1)):
+            interval = Evaluator(gen, budget).prob_until(gen.initial, left, f2)
+            for comparison in Comparison:
+                formula = Prob(comparison, Fraction(0), Until(left, f2))
+                verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
+                solved = compare(interval, comparison, Fraction(0))
+                if left is f1:
+                    assert verdict is not UNKNOWN
+                    assert solved is UNKNOWN or verdict is solved
+                else:
+                    assert verdict is solved
 
     def test_top_formula_stops_at_the_witness(self, p1, p1_artifact, monkeypatch):
         from ppda import reduction
@@ -591,11 +601,6 @@ def _walk_cut_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval
     lo = _least_fixed_point(variables, gen.successors, sink_lo)[gen.initial]
     hi = _least_fixed_point(variables, gen.successors, sink_hi)[gen.initial]
     return ProbInterval(lo, hi)
-
-
-# Holds at every state, by a next-operator: an until whose left operand is
-# conjoined with it has the same value but is always walked, never folded.
-_EVERYWHERE = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
 
 
 def _support_verdict(gen: ChainGenerator, f1, f2):
@@ -911,13 +916,27 @@ class TestNumericSummaries:
             for phi, p in ((p1_artifact.phi1, report.p_phi1_at_N), (p1_artifact.phi2, report.p_phi2_at_N)):
                 assert session.prob_until(state, phi.left, phi.right) == ProbInterval(p, p)
 
-    def test_unbudgeted_session_fills_no_numeric_table(self, p1, p1_artifact):
+    def test_unbudgeted_session_solves_both_tables_and_walks(self, p1, p1_artifact, monkeypatch):
+        # Every session solves the numeric summaries with the Boolean ones,
+        # but only a budgeted one reads them in prob_until: an unbudgeted
+        # walk is exact.
+        walks = []
+        walk = Evaluator._walk
+
+        def counting_walk(self, state, f1, f2, table):
+            walks.append(state)
+            return walk(self, state, f1, f2, table)
+
+        monkeypatch.setattr(Evaluator, "_walk", counting_walk)
         session = reduction.sweep_session(p1_artifact, 2)
         state = reduction.check_config(p1_artifact, (1, 2)).encode()
         phi1 = p1_artifact.phi1
+        pair = (phi1.left, phi1.right)
         assert session.eval_state(state, Prob(Comparison.GT, Fraction(0), phi1)) is TRUE
-        assert session.prob_until(state, phi1.left, phi1.right).is_point
-        assert session.support and session.summaries == {}
+        assert session.support[pair] and session.summaries[pair].keys() == session.support[pair].keys()
+        assert walks == []
+        assert session.prob_until(state, *pair).is_point
+        assert walks == [state]
 
     def test_doubling_chain_stops_at_the_bit_limit(self):
         # L_i -> L_{i+1} L_{i+1} doubles the bits of the summaries at every
@@ -1035,15 +1054,18 @@ class TestSessionUntilTables:
         gen = induced_chain(model, Configuration(tuple(queries[0][0])))
         budget = Budget(max_states, max_depth)
         session = Evaluator(gen, budget)
+        # Each until is also asked in its always-walked form, so the session
+        # reuses points that earlier walks memoized.
         for stack, second in queries:
             f1, f2 = (f1b, f2b) if second else (f1a, f2a)
             state = Configuration(tuple(stack)).encode()
-            got = session.prob_until(state, f1, f2)
-            fresh = Evaluator(gen, budget).prob_until(state, f1, f2)
-            # Exact points memoized by earlier queries can only tighten.
-            assert fresh.lo <= got.lo <= got.hi <= fresh.hi
-            if fresh.is_point:
-                assert got == fresh
+            for left in (f1, And(_EVERYWHERE, f1)):
+                got = session.prob_until(state, left, f2)
+                fresh = Evaluator(gen, budget).prob_until(state, left, f2)
+                # Exact points memoized by earlier queries can only tighten.
+                assert fresh.lo <= got.lo <= got.hi <= fresh.hi
+                if fresh.is_point:
+                    assert got == fresh
 
 
 # A cyclic model: X and Y call each other, so the until

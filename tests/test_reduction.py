@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ import conftest
 from ppda import oracle, pctl, reduction
 from ppda.chain import Budget, explore, path_probability
 from ppda.pctl import Atom, Comparison, Next, Prob, serialize_formula
+from ppda.pushdown import serialize_model
 from ppda.reduction import (
     DegenerateInstanceError,
     DomainError,
@@ -154,6 +156,16 @@ class TestCompile:
         assert "(ap S)" not in text
         assert "(ap F)" in text
         assert "(ap X(_,B))" in text
+
+    @pytest.mark.parametrize("variant", ["default", "cf-simple", "n-chain 2"])
+    def test_compiled_text_is_pinned(self, p1, variant):
+        # The files are what `ppda compile` wrote for p1 before the phi
+        # builders and the variant branches were merged, minus gamma.txt.
+        artifact = compile_instance(p1, Variant.parse(variant))
+        expected = Path(__file__).parent / "data" / "p1" / variant.replace(" ", "-")
+        assert serialize_model(artifact.bpa) == (expected / "model.bpa").read_text()
+        for name, formula in (("phi1", artifact.phi1), ("phi2", artifact.phi2), ("top", artifact.top_formula)):
+            assert serialize_formula(formula) + "\n" == (expected / f"{name}.pctl").read_text()
 
     def test_every_symbol_is_a_proposition(self, p1_artifact):
         # Each symbol labels exactly the configurations it heads.
