@@ -5,12 +5,14 @@ probability bounds P>r / P=r over the path operators X (next) and U
 (until). Evaluation is three-valued: True and False are only reported when
 they hold in the exact semantics, otherwise Unknown. Whether an until with
 propositional operands has positive probability is decided exactly, from
-per-symbol Boolean summaries. In a budgeted session such an until also gets
-its exact value from per-symbol numeric summaries wherever the symbols its
-stack reaches form no cycle. The rest is decided from a walk that the
-budget cuts. Probabilities of path formulas are returned as exact rational
-intervals that are guaranteed to contain the true value and that nest as
-the budget grows.
+per-symbol Boolean summaries; in a budgeted session it also gets its exact
+value from one fold of per-symbol numeric summaries wherever the symbols
+its stack reaches form no cycle. The rest is decided from a walk that the
+budget cuts. A formula with a probability operator is False outside its
+guard, the heads where it can hold, so the walk passes a state by its head
+where the left operand holds and the right one cannot. Probabilities of
+path formulas are exact rational intervals that contain the true value and
+nest as the budget grows.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from typing import Callable, Union
 
 from .chain import Budget, ChainState
 from .errors import PpdaInputError, bounded, quote
-from .pushdown import EMPTY_MARK, ChainGenerator, Configuration, UnknownSymbolError
+from .pushdown import EMPTY_MARK, ChainGenerator, UnknownSymbolError
 from .rationals import format_rational
 
 ONE = Fraction(1)
@@ -239,17 +241,18 @@ def postorder(formula, done):
 
 
 def replace_bounds(formula, replace: Callable[[Bound], Bound]):
-    """Rebuild a formula, mapping every probability bound. Nodes are interned,
-    so a subtree in which ``replace`` returns every bound unchanged comes back
-    as the same node."""
+    """Rebuild a formula, mapping every probability bound. A node whose kids
+    and bound come back unchanged is kept as it is, so a subtree in which
+    ``replace`` returns every bound unchanged is the same node."""
     new: dict = {}
     for node in postorder(formula, new):
+        kids = tuple([new[kid] for kid in node.kids])
         if isinstance(node, Prob):
-            new[node] = Prob(node.comparison, replace(node.bound), new[node.path])
-        elif node.kids:
-            new[node] = type(node)(*(new[kid] for kid in node.kids))
+            bound = replace(node.bound)
+            same = bound is node.bound and kids == node.kids
+            new[node] = node if same else Prob(node.comparison, bound, *kids)
         else:
-            new[node] = node
+            new[node] = node if kids == node.kids else type(node)(*kids)
     return new[formula]
 
 
@@ -464,6 +467,15 @@ class ProbInterval:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
 
+def _interval(lo: Fraction, hi: Fraction) -> ProbInterval:
+    """An interval the evaluator computed, built without ``__post_init__``'s
+    Fraction comparisons, which its bounds pass by construction."""
+    interval = object.__new__(ProbInterval)
+    object.__setattr__(interval, "lo", lo)
+    object.__setattr__(interval, "hi", hi)
+    return interval
+
+
 def compare(interval: ProbInterval, comparison: Comparison, bound: Fraction) -> ThreeValued:
     """Decide ``P ⋈ bound`` from an enclosing interval, or report Unknown."""
     if comparison is Comparison.GT:
@@ -499,6 +511,10 @@ class Evaluator:
     probability operator is compiled once per session to
     ``head_sets[formula]``, the stack heads where it holds (None for the
     empty stack), and holds at a state exactly when ``gen.head`` is in it.
+    Any other formula has a guard, ``guards[formula]``, the heads where it
+    can hold: a conjunction's is the intersection of its conjuncts' head
+    sets or guards, any other's the universe. Outside it the formula is
+    False, with no evaluation and no ``state_cache`` entry.
 
     Every verdict is sound and every interval contains the true value, and
     for one query history the intervals nest as the budget grows. They are
@@ -520,16 +536,17 @@ class Evaluator:
     probabilities of satisfying the until before X is popped and of popping
     X with f1 throughout and f2 never, or to None where the symbols its
     rules reach form a cycle. Then ``P(X·α) = a_X + t_X·P(α)``, so in a
-    budgeted session ``prob_until`` returns the point 0 where the Boolean
-    fold says zero, and elsewhere the point ``_point`` folds from the stack
-    without walking, unless the fold meets a None. An unbudgeted session's
-    ``prob_until`` reads neither and walks: its walk is exact anyway.
+    budgeted session ``prob_until`` returns the point ``_point`` folds from
+    the stack, without walking; only where that fold meets a None does the
+    Boolean fold run, for the point 0 where it says zero. An unbudgeted
+    session's ``prob_until`` reads neither and walks: its walk is exact.
 
     Until-queries that remain walk breadth-first from the query state
     through until-variables, and classify and solve only the states that
     walk reaches. The budget limits the walk alone: a state that would be a
     variable is cut to an open sink once its depth in the walk reaches
-    ``max_depth`` or ``max_states`` variables have been expanded.
+    ``max_depth`` or ``max_states`` variables have been expanded. A head in
+    f1's head set and outside f2's guard passes the operand tests unasked.
 
     ``budget=None`` cuts nothing: every walked state that passes the operand
     tests and is not absorbing is a variable. Use it only on chains whose
@@ -549,8 +566,10 @@ class Evaluator:
         self.budget = budget
         self.universe = frozenset(gen.bpa.alphabet) | {None}
         self.head_sets: dict[StateFormula, frozenset | None] = {}
+        self.guards: dict[StateFormula, frozenset] = {}
         self.state_cache: dict[tuple, ThreeValued] = {}
         self.until_cache: dict[tuple, dict[ChainState, Fraction | ProbInterval]] = {}
+        self.variable_heads: dict[tuple, frozenset] = {}
         self.support: dict[tuple, dict[str, tuple[bool, bool]]] = {}
         self.summaries: dict[tuple, dict[str, tuple[Fraction, Fraction] | None]] = {}
 
@@ -560,8 +579,11 @@ class Evaluator:
         heads = self.head_sets.get(formula)
         if heads is None and formula not in self.head_sets:
             heads = self._compile(formula)
+        head = self.gen.head(state)
         if heads is not None:
-            return TRUE if self.gen.head(state) in heads else FALSE
+            return TRUE if head in heads else FALSE
+        if head not in self.guards[formula]:
+            return FALSE
         key = (state, formula)
         cached = self.state_cache.get(key)
         if cached is not None:
@@ -575,14 +597,22 @@ class Evaluator:
 
         On first use, fills ``head_sets`` for ``formula`` and its subformulas
         through ``postorder``; a probability or path operator, and all above
-        it, map to None."""
-        sets = self.head_sets
+        it, map to None and get a guard. A probability bound that is still a
+        placeholder is refused here, wherever the formula is asked."""
+        sets, guards = self.head_sets, self.guards
         if formula in sets:
             return sets[formula]
         for f in postorder(formula, sets):
             compiled = [sets[kid] for kid in f.kids]
+            if isinstance(f, Prob) and isinstance(f.bound, BoundPlaceholder):
+                raise PlaceholderError(f"cannot evaluate formula with placeholder bound {f.bound.value}")
             if None in compiled or isinstance(f, (Prob, Next, Until)):
                 sets[f] = None
+                if isinstance(f, And):
+                    left, right = (guards.get(kid, heads) for kid, heads in zip(f.kids, compiled))
+                    guards[f] = left & right
+                else:
+                    guards[f] = self.universe
             elif isinstance(f, Not):
                 sets[f] = self.universe - compiled[0]
             elif isinstance(f, And):
@@ -602,10 +632,6 @@ class Evaluator:
                 return FALSE
             return kleene_and(left, self.eval_state(state, formula.right))
         if isinstance(formula, Prob):
-            if isinstance(formula.bound, BoundPlaceholder):
-                raise PlaceholderError(
-                    f"cannot evaluate formula with placeholder bound {formula.bound.value}"
-                )
             path = formula.path
             if formula.bound == 0 and isinstance(path, Until):
                 verdict = self._reaches(state, path.left, path.right)
@@ -630,24 +656,21 @@ class Evaluator:
                 lo += prob
             elif verdict is FALSE:
                 false_mass += prob
-        return ProbInterval(lo, ONE - false_mass)
+        return _interval(lo, ONE - false_mass)
 
     def prob_until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ProbInterval:
         table = self.until_cache.setdefault((f1, f2), {})
         known = table.get(state)
         if known is not None:
-            return known if isinstance(known, ProbInterval) else ProbInterval(known, known)
+            return known if isinstance(known, ProbInterval) else _interval(known, known)
         # Without a budget the walk is already exact, so only a budgeted
         # session needs the summaries to settle a value.
-        if self.budget is not None:
-            positive = self._positive(state, f1, f2)
-            if positive is False:
-                table[state] = ZERO
-                return ProbInterval(ZERO, ZERO)
-            if positive:
-                value = self._point(state, f2, self.summaries.get((f1, f2), {}), table)
-                if value is not None:
-                    return ProbInterval(value, value)
+        if self.budget is not None and self._compile(f1) is not None and self._compile(f2) is not None:
+            value = self._point(state, f1, f2, table)
+            if value is None and self._positive(state, f1, f2) is False:
+                value = table[state] = ZERO
+            if value is not None:
+                return _interval(value, value)
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
         # reaches become the unknowns of a linear system.
@@ -684,28 +707,22 @@ class Evaluator:
             if lo_d == hi_d:
                 table[d] = lo_d
         if state in sink_lo:
-            interval = ProbInterval(sink_lo[state], sink_hi[state])
+            lo, hi = sink_lo[state], sink_hi[state]
         else:
-            interval = ProbInterval(lo_values[state], hi_values[state])
-        if not interval.is_point:
+            lo, hi = lo_values[state], hi_values[state]
+        interval = _interval(lo, hi)
+        if lo != hi:
             table[state] = interval
         return interval
 
-    def _until_sink(
-        self, d: ChainState, f1: StateFormula, f2: StateFormula, cut: bool, table: dict
-    ) -> tuple[Fraction, Fraction] | None:
-        """The fixed (lo, hi) of ``d`` in an until-system, or None for a variable.
-
-        A variable satisfies f1 and not f2, is not ``cut`` by the budget, and
-        is not absorbing. A state already resolved to a point in this
-        session, a ``Fraction`` in ``table`` (the formula pair's memo), is an
-        exact sink. The one sink that is not a point is ``_OPEN_SINK``: a
-        state where an operand is Unknown, or a cut one. f1 is evaluated only
-        where f2 is not True.
+    def _until_sink(self, d: ChainState, f1: StateFormula, f2: StateFormula, cut: bool
+                    ) -> tuple[Fraction, Fraction] | None:
+        """The fixed (lo, hi) of ``d`` in an until-system from its operand
+        verdicts, or None for a state that satisfies f1 and not f2 and is
+        not ``cut`` by the budget. The one sink that is not a point is
+        ``_OPEN_SINK``: a state where an operand is Unknown, or a cut one.
+        f1 is evaluated only where f2 is not True.
         """
-        known = table.get(d)
-        if isinstance(known, Fraction):
-            return known, known
         right = self.eval_state(d, f2)
         if right is TRUE:
             return _TRUE_SINK
@@ -714,36 +731,52 @@ class Evaluator:
             return _FALSE_SINK
         if right is not FALSE or left is not TRUE or cut:
             return _OPEN_SINK
-        if self.gen.successors(d) == [(d, ONE)]:
-            # Absorbing state where f2 is definitively false: the run
-            # stays here forever, so the until is never satisfied.
-            return _FALSE_SINK
         return None
 
     def _walk(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict):
         """Yield ``(d, sink)`` for each state reachable from ``state`` through variables.
 
-        Breadth-first from ``state``; ``sink`` is ``_until_sink`` of ``d``,
-        classified when ``d`` is reached, and only a variable's successors
-        are walked. The budget cuts the walk: a state that would be a
-        variable is cut once its depth reaches ``max_depth`` or
-        ``max_states`` variables have been expanded; without a budget
+        Breadth-first from ``state``; ``sink`` is the fixed (lo, hi) of
+        ``d``, classified when ``d`` is reached, or None for a variable, and
+        only a variable's successors are walked. A point in ``table`` (the
+        pair's memo) is an exact sink; a head in ``variable_heads[(f1, f2)]``,
+        f1's head set less f2's guard, passes the operand tests, and any
+        other state is classified by ``_until_sink``. A state that passes is
+        a variable unless it is absorbing. The budget cuts the walk: a state
+        that would be a variable is cut once its depth reaches ``max_depth``
+        or ``max_states`` variables have been expanded; without a budget
         nothing is cut. The least fixed point at ``state`` depends only on
         the states yielded.
         """
         budget = self.budget
         max_states, max_depth = (budget.max_states, budget.max_depth) if budget else (inf, inf)
-        successors = self.gen.successors
+        successors, head = self.gen.successors, self.gen.head
+        passing = self.variable_heads.get((f1, f2))
+        if passing is None:
+            passing = (self._compile(f1) or frozenset()) - self.guards.get(f2, self._compile(f2))
+            self.variable_heads[(f1, f2)] = passing
         expanded = 0
         seen = {state}
         queue = deque([(state, 0)])
         while queue:
             d, depth = queue.popleft()
-            sink = self._until_sink(d, f1, f2, depth >= max_depth or expanded >= max_states, table)
+            cut = depth >= max_depth or expanded >= max_states
+            known = table.get(d)
+            if type(known) is Fraction:
+                sink = known, known
+            elif head(d) in passing:
+                sink = _OPEN_SINK if cut else None
+            else:
+                sink = self._until_sink(d, f1, f2, cut)
+            if sink is None:
+                out = successors(d)
+                if out == [(d, ONE)]:
+                    # f2 is False here and the run stays here forever.
+                    sink = _FALSE_SINK
             yield d, sink
             if sink is None:
                 expanded += 1
-                for target, _ in successors(d):
+                for target, _ in out:
                     if target not in seen:
                         seen.add(target)
                         queue.append((target, depth + 1))
@@ -764,7 +797,7 @@ class Evaluator:
         if h1 is None or h2 is None:
             return None
         table = self.support.setdefault((f1, f2), {})
-        stack = Configuration.parse(state).stack
+        stack = () if state == EMPTY_MARK else state.split()
         try:
             return _fold(stack, table, (None in h2, False))[0]
         except KeyError:
@@ -772,22 +805,32 @@ class Evaluator:
             _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack, numeric)
             return _fold(stack, table, (None in h2, False))[0]
 
-    def _point(self, state: ChainState, f2: StateFormula, summaries: dict, table: dict) -> Fraction | None:
-        """The exact ``P(f1 U f2)`` at ``state`` from the numeric ``summaries``,
-        or None if the fold meets a symbol whose summary is None.
+    def _point(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict) -> Fraction | None:
+        """The exact ``P(f1 U f2)`` at ``state``, for operands that compile to
+        head sets, from the numeric summaries, or None if the fold meets a
+        symbol whose summary is None.
 
         ``P(X·α) = a_X + t_X·P(α)``, and ``P`` of the empty stack is 1 if f2
         holds there and 0 otherwise. The stack is read top first down to the
         first suffix ``table`` holds as a point, the first symbol that cannot
-        be popped, or the empty stack; then every suffix read is folded and
-        memoized in ``table``, bottom up. A stack that extends a folded one
-        by a block therefore costs one block.
+        be popped, or the empty stack, and a symbol not solved yet has
+        ``_solve_support`` solve the stack's symbols. Then every suffix read
+        is folded and memoized in ``table``, bottom up, so a stack that
+        extends a folded one by a block costs one block. Where the value is
+        0, every suffix read is 0 as well, and only ``state`` is memoized.
         """
-        value = ONE if None in self.head_sets[f2] else ZERO
+        numeric = self.summaries.setdefault((f1, f2), {})
+        h2 = self.head_sets[f2]
+        value = ONE if None in h2 else ZERO
         read, suffix = [], state
         while suffix != EMPTY_MARK:
             head, _, rest = suffix.partition(" ")
-            summary = summaries[head]
+            try:
+                summary = numeric[head]
+            except KeyError:
+                _solve_support(self.gen.bpa.rules_by_head, self.head_sets[f1], h2,
+                               self.support.setdefault((f1, f2), {}), state.split(), numeric)
+                summary = numeric[head]
             if summary is None:
                 return None
             read.append((suffix, summary))
@@ -795,12 +838,14 @@ class Evaluator:
                 break
             suffix = rest or EMPTY_MARK
             known = table.get(suffix)
-            if isinstance(known, Fraction):
+            if type(known) is Fraction:
                 value = known
                 break
+        folded = []
         for suffix, (a, t) in reversed(read):
             value = a + t * value
-            table[suffix] = value
+            folded.append((suffix, value))
+        table.update(folded if value else [(state, ZERO)])
         return value
 
     def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
@@ -813,7 +858,8 @@ class Evaluator:
         variables, and likewise for the upper bound (Baier and Katoen,
         Principles of Model Checking, 2008, 10.3). So the same walk gives the
         verdict ``compare`` gives on the solved interval, and it stops at the
-        first sink with a positive lower bound.
+        first sink with a positive lower bound (bounds are never negative,
+        so a nonzero one is positive).
         """
         positive = self._positive(state, f1, f2)
         if positive is not None:
@@ -823,9 +869,9 @@ class Evaluator:
         for _, sink in self._walk(state, f1, f2, table):
             if sink is None:
                 continue
-            if sink[0] > 0:
+            if sink[0]:
                 return TRUE
-            if sink[1] > 0:
+            if sink[1]:
                 maybe = True
         return UNKNOWN if maybe else FALSE
 

@@ -105,6 +105,11 @@ class Bpa:
         return {head: tuple(rules) for head, rules in grouped.items()}
 
 
+def _subject(rule: BpaRule) -> str:
+    """How a violation names its rule; built only when one is recorded."""
+    return f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
+
+
 def validate_model(model: Bpa) -> list[ModelViolation]:
     """Rule totality per head, exact (``Fraction``) probabilities in (0, 1]
     and their sums, body lengths, and symbols the configuration encoding
@@ -120,21 +125,20 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
     flagged: set[str] = set()  # heads whose sum is not checked: a rule's probability is flagged instead
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
-        subject = f"{rule.head} -> {' '.join(rule.body) or EMPTY_MARK}"
         if len(rule.body) > 2:
-            out.append(ModelViolation(subject, "body longer than 2 symbols"))
+            out.append(ModelViolation(_subject(rule), "body longer than 2 symbols"))
         exact = isinstance(rule.probability, Fraction)
         if not exact:
             out.append(ModelViolation(
-                subject, f"probability must be an exact rational, got {type(rule.probability).__name__}"))
+                _subject(rule), f"probability must be an exact rational, got {type(rule.probability).__name__}"))
             flagged.add(rule.head)
         elif not 0 < rule.probability <= 1:
             out.append(ModelViolation(
-                subject, f"probability {bounded(format_rational(rule.probability))} outside (0,1]"))
+                _subject(rule), f"probability {bounded(format_rational(rule.probability))} outside (0,1]"))
             flagged.add(rule.head)
         key = (rule.head, rule.body)
         if key in seen:
-            out.append(ModelViolation(subject, "duplicate rule"))
+            out.append(ModelViolation(_subject(rule), "duplicate rule"))
         seen.add(key)
         per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + (rule.probability if exact else 0)
     for symbol in model.alphabet:

@@ -189,6 +189,20 @@ class TestInterning:
         with pytest.raises(FormulaSyntaxError, match="nested deeper"):
             parse_formula(text)
 
+    def test_unchanged_nodes_are_kept_without_a_lookup(self, monkeypatch):
+        # Only the nodes with a placeholder below them are rebuilt.
+        template = reduction.build_top_formula(reduction.VariantKind.DEFAULT)
+        nodes: set = set()
+        for node in pctl.postorder(template, nodes):
+            nodes.add(node)
+        built, new = [], pctl._Node.__new__
+        monkeypatch.setattr(pctl._Node, "__new__",
+                            staticmethod(lambda cls, *fields: built.append(cls) or new(cls, *fields)))
+        assert pctl.replace_bounds(template, lambda bound: bound) is template and built == []
+        concrete = reduction.instantiate_formula(template, H)
+        assert not has_placeholder(concrete)
+        assert len(built) == sum(has_placeholder(node) for node in nodes) == 8
+
     def test_deep_template_instantiates(self):
         template = _negations(Prob(Comparison.EQ, BoundPlaceholder.T_HALF, Next(TRUE_FORMULA)), DEEP)
         assert has_placeholder(template)
@@ -214,8 +228,15 @@ class TestCompare:
         assert compare(ProbInterval(Fraction(0), Fraction(1)), Comparison.EQ, H) is UNKNOWN
 
     def test_interval_invariant(self):
-        with pytest.raises(ValueError):
-            ProbInterval(Fraction(2, 3), Fraction(1, 3))
+        # An interval built outside the evaluator is checked; the evaluator's
+        # own skip the check and are otherwise the same value.
+        for lo, hi in ((Fraction(2, 3), Fraction(1, 3)), (Fraction(-1, 3), Fraction(1, 3)),
+                       (Fraction(1, 3), Fraction(4, 3))):
+            with pytest.raises(ValueError, match="invalid interval"):
+                ProbInterval(lo, hi)
+        ours = Evaluator(gen_from({"a": [("b", H), ("c", H)]}), BUDGET).prob_next("a", Atom("b"))
+        assert ours == ProbInterval(H, H) and hash(ours) == hash(ProbInterval(H, H))
+        assert str(ours) == "[1/2, 1/2]" and repr(ours) == repr(ProbInterval(H, H))
 
 
 class TestEvalState:
@@ -248,10 +269,33 @@ class TestEvalState:
         assert Evaluator(gen, BUDGET).eval_state("a", Not(formula)) is FALSE
 
     def test_placeholder_rejected(self):
+        # A template is refused wherever it is asked, also where a conjunct
+        # without a placeholder would decide it.
         gen = gen_from({"a": [("a", Fraction(1))]})
         formula = Prob(Comparison.EQ, BoundPlaceholder.T_HALF, Next(TRUE_FORMULA))
-        with pytest.raises(PlaceholderError):
-            Evaluator(gen, BUDGET).eval_state("a", formula)
+        for template in (formula, And(Atom("F"), formula), And(formula, Atom("F"))):
+            with pytest.raises(PlaceholderError):
+                Evaluator(gen, BUDGET).eval_state("a", template)
+
+    def test_conjunction_outside_its_guard_is_false_and_not_memoized(self):
+        # A conjunction with a probability operator can hold only where its
+        # propositional conjuncts do: elsewhere it is False before the
+        # operator is evaluated, and no state_cache entry is written.
+        gen = gen_from({"a": [("b", H), ("c", H)]})
+        reached = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
+        for formula in (And(Atom("b"), reached), And(reached, Atom("b"))):
+            session = Evaluator(gen, BUDGET)
+            assert session.eval_state("a", formula) is FALSE
+            assert session.state_cache == {}
+            assert session.eval_state("b", formula) is TRUE and ("b", formula) in session.state_cache
+        # A negation's guard is the universe; the conjunction below it is
+        # still False at a without an entry. Conjuncts' guards intersect.
+        session = Evaluator(gen, BUDGET)
+        assert session.eval_state("a", Not(And(reached, Atom("b")))) is TRUE
+        assert list(session.state_cache) == [("a", Not(And(reached, Atom("b"))))]
+        nowhere = And(Atom("b"), And(reached, Atom("c")))
+        assert session.eval_state("b", nowhere) is FALSE and session.guards[nowhere] == frozenset()
+        assert ("b", nowhere) not in session.state_cache
 
 
 class TestProbNext:
@@ -480,17 +524,17 @@ class TestQualitativeUntil:
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
            _propositional(), _propositional(), st.integers(1, 40), st.integers(1, 8))
     def test_matches_solved_interval(self, model, stack, f1, f2, max_states, max_depth):
-        # The always-walked form is decided by the walk, which sees exactly
-        # the states the solve sees, so its verdict is the solved one.
+        # The always-walked forms are decided by the walk, which sees exactly
+        # the states the solve sees, so their verdict is the solved one.
         gen = induced_chain(model, Configuration(tuple(stack)))
         budget = Budget(max_states, max_depth)
-        for left in (f1, And(_EVERYWHERE, f1)):
-            interval = Evaluator(gen, budget).prob_until(gen.initial, left, f2)
+        for left, right in ((f1, f2), (And(_EVERYWHERE, f1), f2), (f1, And(_EVERYWHERE, f2))):
+            interval = Evaluator(gen, budget).prob_until(gen.initial, left, right)
             for comparison in Comparison:
-                formula = Prob(comparison, Fraction(0), Until(left, f2))
+                formula = Prob(comparison, Fraction(0), Until(left, right))
                 verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
                 solved = compare(interval, comparison, Fraction(0))
-                if left is f1:
+                if (left, right) == (f1, f2):
                     assert verdict is not UNKNOWN
                     assert solved is UNKNOWN or verdict is solved
                 else:
@@ -534,11 +578,20 @@ class TestQualitativeUntil:
                 yield d, sink
 
         monkeypatch.setattr(Evaluator, "_walk", recording_walk)
+        # The walk passes every other head by its head set and f2's guard,
+        # so the operands are evaluated only at the C-configurations.
+        classified = []
+        until_sink = Evaluator._until_sink
+        monkeypatch.setattr(Evaluator, "_until_sink", lambda self, d, *args: classified.append(d)
+                            or until_sink(self, d, *args))
         artifact = reduction.compile_instance(reduction.PcpInstance((("AB", "BA"), ("BA", "AB"))))
         top = reduction.instantiate_top_formula(artifact, Fraction(5, 16))
         evaluator = Evaluator(artifact.chain, Budget(100_000, 30))
         assert evaluator.eval_state("Z", top) is UNKNOWN
         assert walks == ["Z"] and pctl._OPEN_SINK in sinks
+        assert len(classified) == 1022 and {artifact.chain.head(d) for d in classified} == {"C"}
+        reached = top.path.right
+        assert {artifact.chain.head(d) for d, f in evaluator.state_cache if f is reached} == {"C"}
 
 
 def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
@@ -890,6 +943,25 @@ class TestNumericSummaries:
             if isinstance(value, Fraction):
                 assert Evaluator(gen, Budget(1, 1)).prob_until(state, f1, f2) == ProbInterval(value, value)
 
+    def test_budgeted_query_folds_once(self, monkeypatch):
+        # An acyclic propositional until is one numeric fold of the encoded
+        # stack: the Boolean fold and the configuration parser are not run.
+        calls = []
+        positive, parse = Evaluator._positive, Configuration.parse.__func__
+        monkeypatch.setattr(Evaluator, "_positive", lambda *args: calls.append("_positive") or positive(*args))
+        monkeypatch.setattr(Configuration, "parse", classmethod(lambda *args: calls.append("parse") or parse(*args)))
+        model = parse_model("X -> Y [1/2]\nX -> ~ [1/2]\nY -> ~ [1]\n")
+        gen = induced_chain(model, Configuration(("X", "X")))
+        session = Evaluator(gen, Budget(1, 1))
+        assert session.prob_until("X X", TRUE_FORMULA, Atom("Y")) == ProbInterval(Fraction(3, 4), Fraction(3, 4))
+        assert session.prob_until("X X X", TRUE_FORMULA, Atom("Y")) == ProbInterval(Fraction(7, 8), Fraction(7, 8))
+        assert session.until_cache[(TRUE_FORMULA, Atom("Y"))] == {
+            "X X X": Fraction(7, 8), "X X": Fraction(3, 4), "X": H}
+        # A zero is memoized at the query state alone.
+        assert session.prob_until("X X", TRUE_FORMULA, Atom("W")) == ProbInterval(Fraction(0), Fraction(0))
+        assert session.until_cache[(TRUE_FORMULA, Atom("W"))] == {"X X": Fraction(0)}
+        assert calls == []
+
     def test_two_symbol_body_reads_its_top_first(self):
         # Y and W each lose mass at B, where f1 fails, so the order of X's
         # body matters: a_X = a_Y + t_Y·a_W = 1/3 + 1/3·1/2, not a_W + t_W·a_Y.
@@ -991,6 +1063,9 @@ class TestDemandDrivenUntil:
         forced = Evaluator(gen, budget).prob_until(gen.initial, left, f2)
         assert forced == _walk_cut_until(gen, budget, left, f2)
         assert max(forced.lo, reference.lo) <= min(forced.hi, reference.hi)
+        # A right operand with a probability operator is walked too, and
+        # passes the heads outside its guard without evaluating it.
+        assert Evaluator(gen, budget).prob_until(gen.initial, f1, And(_EVERYWHERE, f2)) == walked
 
     @settings(max_examples=300)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
@@ -1054,14 +1129,14 @@ class TestSessionUntilTables:
         gen = induced_chain(model, Configuration(tuple(queries[0][0])))
         budget = Budget(max_states, max_depth)
         session = Evaluator(gen, budget)
-        # Each until is also asked in its always-walked form, so the session
+        # Each until is also asked in its always-walked forms, so the session
         # reuses points that earlier walks memoized.
         for stack, second in queries:
             f1, f2 = (f1b, f2b) if second else (f1a, f2a)
             state = Configuration(tuple(stack)).encode()
-            for left in (f1, And(_EVERYWHERE, f1)):
-                got = session.prob_until(state, left, f2)
-                fresh = Evaluator(gen, budget).prob_until(state, left, f2)
+            for left, right in ((f1, f2), (And(_EVERYWHERE, f1), f2), (f1, And(_EVERYWHERE, f2))):
+                got = session.prob_until(state, left, right)
+                fresh = Evaluator(gen, budget).prob_until(state, left, right)
                 # Exact points memoized by earlier queries can only tighten.
                 assert fresh.lo <= got.lo <= got.hi <= fresh.hi
                 if fresh.is_point:
