@@ -30,7 +30,6 @@ from .pctl import (
     Until,
     compare,
     parse_formula,
-    parse_path_formula,
     serialize_formula,
 )
 from .pushdown import (

@@ -75,8 +75,8 @@ def _cmd_compile(args) -> int:
 def _cmd_certify(args) -> int:
     instance = reduction.load_instance(args.instance)
     word = reduction.parse_index_word(args.word)
-    variant = reduction.Variant.parse(args.variant)
-    report = reduction.certify(instance, word, variant=variant)
+    artifact = reduction.compile_instance(instance, reduction.Variant.parse(args.variant))
+    report = reduction.certify(instance, word, artifact=artifact)
     sys.stdout.write(report.to_text())
     return OK if report.formula_holds else NEGATIVE
 

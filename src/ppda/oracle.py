@@ -15,9 +15,7 @@ from typing import Callable
 from .chain import ChainGenerator, ChainState
 from .errors import PpdaInputError
 from .reduction import (
-    DEFAULT_VARIANT,
     PcpInstance,
-    Variant,
     certify,
     check_solution,
     compile_instance,
@@ -79,12 +77,7 @@ def enumerate_until_probability(
     return total
 
 
-def search_via_reduction(
-    instance: PcpInstance,
-    max_k: int,
-    *,
-    variant: Variant = DEFAULT_VARIANT,
-):
+def search_via_reduction(instance: PcpInstance, max_k: int):
     """First index word whose certification report holds, or None.
 
     Enumerates in the same order as ``brute_force_pcp``, so the two
@@ -97,7 +90,7 @@ def search_via_reduction(
     """
     if max_k < 1:
         raise PpdaInputError("max_k must be at least 1")
-    artifact = compile_instance(instance, variant)
+    artifact = compile_instance(instance)
     session = sweep_session(artifact, max_k)
     for word in index_words(instance.n, max_k):
         if certify(instance, word, artifact=artifact, session=session).formula_holds:

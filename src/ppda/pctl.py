@@ -3,16 +3,16 @@
 State formulas: true, atomic proposition, negation, conjunction, and
 probability bounds P>r / P=r over the path operators X (next) and U
 (until). Evaluation is three-valued: True and False are only reported when
-they hold in the exact semantics, otherwise Unknown. Whether an until with
-propositional operands has positive probability is decided exactly, from
-per-symbol Boolean summaries; in a budgeted session it also gets its exact
-value from one fold of per-symbol numeric summaries wherever the symbols
-its stack reaches form no cycle. The rest is decided from a walk that the
-budget cuts. A formula with a probability operator is False outside its
-guard, the heads where it can hold, so the walk passes a state by its head
-where the left operand holds and the right one cannot. Probabilities of
-path formulas are exact rational intervals that contain the true value and
-nest as the budget grows.
+they hold in the exact semantics, otherwise Unknown. An until with
+propositional operands is answered by one fold of per-symbol summaries over
+its stack: in a budgeted session its exact value wherever the symbols the
+stack reaches form no cycle, and in every session whether it is positive,
+which decides P>0 and P=0 over it at any budget. The rest is decided from
+a walk that the budget cuts. A formula with a probability operator is
+False outside its guard, the heads where it can hold, so the walk passes a
+state by its head where the left operand holds and the right one cannot.
+Probabilities of path formulas are exact rational intervals that contain
+the true value and nest as the budget grows.
 """
 from __future__ import annotations
 
@@ -195,6 +195,10 @@ class Prob(_Node):
     __slots__ = ("comparison", "bound", "path")
 
     def __new__(cls, comparison: Comparison, bound: Bound, path: PathFormula) -> "Prob":
+        # A float or int equal to a Fraction would find that node in the
+        # intern table, so only Fractions and placeholders are bounds.
+        if not isinstance(bound, (Fraction, BoundPlaceholder)):
+            raise BoundRangeError(f"probability bound must be a Fraction or a placeholder, got {type(bound).__name__}")
         if isinstance(bound, Fraction) and not 0 <= bound <= 1:
             raise BoundRangeError(f"probability bound {bounded(format_rational(bound))} outside [0,1]")
         return super().__new__(cls, comparison, bound, path)
@@ -409,11 +413,6 @@ def parse_formula(text: str) -> StateFormula:
     return scanner.finish(scanner.state_formula())
 
 
-def parse_path_formula(text: str) -> PathFormula:
-    scanner = _Scanner(text)
-    return scanner.finish(scanner.path_formula())
-
-
 def _flatten(rope) -> str:
     """The text of a rope: a string, or a tuple of ropes. A formula's text is
     built as one rope per node holding its children's ropes, and flattened
@@ -456,6 +455,9 @@ class ProbInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.lo, Fraction) and isinstance(self.hi, Fraction)):
+            raise TypeError(f"interval bounds must be Fractions, got {type(self.lo).__name__} "
+                            f"and {type(self.hi).__name__}")
         if not ZERO <= self.lo <= self.hi <= ONE:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
 
@@ -522,24 +524,21 @@ class Evaluator:
     an earlier query is a sink of later ones, so it can tighten them. A
     session may be reused across formulas and query states.
 
-    An until whose operands both compile to head sets has Boolean
-    per-symbol summaries: ``support[(f1, f2)]`` maps each stack symbol
-    solved so far to its ``(a, t)``. ``_solve_support`` finds them with a
-    monotone worklist over the rules of the symbols a query's stack
-    reaches, and ``_fold`` composes them over a stack word, so the until
-    has positive probability at a state exactly when the fold of its stack
-    says so (``_positive``), whatever the budget. So ``P>0`` and ``P=0``
-    over it are always True or False.
-
-    The same call solves the numeric summaries: ``summaries[(f1, f2)]``
-    maps each of those symbols to its exact ``(a_X, t_X)``, the
+    An until whose operands both compile to head sets has per-symbol
+    summaries (Esparza, Kučera and Mayr, LICS 2004): ``summaries[(f1, f2)]``
+    maps each stack symbol solved so far to its exact ``(a_X, t_X)``, the
     probabilities of satisfying the until before X is popped and of popping
     X with f1 throughout and f2 never, or to None where the symbols its
-    rules reach form a cycle. Then ``P(X·α) = a_X + t_X·P(α)``, so in a
-    budgeted session ``prob_until`` returns the point ``_point`` folds from
-    the stack, without walking; only where that fold meets a None does the
-    Boolean fold run, for the point 0 where it says zero. An unbudgeted
-    session's ``prob_until`` reads neither and walks: its walk is exact.
+    rules reach form a cycle, and ``support[(f1, f2)]`` maps it to the
+    Boolean ``(a_X > 0, t_X > 0)``. ``_solve_support`` solves both with a
+    monotone worklist over the rules of the symbols a query's stack
+    reaches. Then ``P(X·α) = a_X + t_X·P(α)``, and ``_point``, the one fold
+    of a query's stack, returns the exact value, or, past a symbol whose
+    numeric summary is None, the exact sign from the Boolean ``_fold``. So ``P>0``
+    and ``P=0`` over such an until are always True or False, in every
+    session, and a budgeted session's ``prob_until`` returns the value, or
+    the point 0, without walking. An unbudgeted session's ``prob_until``
+    does not fold and walks: its walk is exact.
 
     Until-queries that remain walk breadth-first from the query state
     through until-variables, and classify and solve only the states that
@@ -667,9 +666,9 @@ class Evaluator:
         # session needs the summaries to settle a value.
         if self.budget is not None and self._compile(f1) is not None and self._compile(f2) is not None:
             value = self._point(state, f1, f2, table)
-            if value is None and self._positive(state, f1, f2) is False:
+            if value is False:
                 value = table[state] = ZERO
-            if value is not None:
+            if value is not True:
                 return _interval(value, value)
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
@@ -781,58 +780,40 @@ class Evaluator:
                         seen.add(target)
                         queue.append((target, depth + 1))
 
-    def _positive(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> bool | None:
-        """Whether ``P(f1 U f2) > 0`` at ``state``, exactly; None unless both operands
-        compile to head sets.
-
-        ``support[(f1, f2)]`` maps a stack symbol X to its summary ``(a, t)``:
-        whether the run of X can satisfy the until before X is popped, and
-        whether X can be popped with f1 holding throughout and f2 never. The
-        answer is the ``a`` of ``_fold`` of the query stack over the empty
-        stack, whose ``a`` is whether f2 holds there. When the fold meets a
-        symbol not solved yet, ``_solve_support`` solves the stack's symbols
-        and their ``summaries``.
-        """
-        h1, h2 = self._compile(f1), self._compile(f2)
-        if h1 is None or h2 is None:
-            return None
-        table = self.support.setdefault((f1, f2), {})
-        stack = () if state == EMPTY_MARK else state.split()
-        try:
-            return _fold(stack, table, (None in h2, False))[0]
-        except KeyError:
-            numeric = self.summaries.setdefault((f1, f2), {})
-            _solve_support(self.gen.bpa.rules_by_head, h1, h2, table, stack, numeric)
-            return _fold(stack, table, (None in h2, False))[0]
-
-    def _point(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict) -> Fraction | None:
+    def _point(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict) -> Fraction | bool:
         """The exact ``P(f1 U f2)`` at ``state``, for operands that compile to
-        head sets, from the numeric summaries, or None if the fold meets a
-        symbol whose summary is None.
+        head sets, from the per-symbol summaries; or, where the stack reaches
+        a symbol whose numeric summary is None, whether it is positive.
 
         ``P(X·α) = a_X + t_X·P(α)``, and ``P`` of the empty stack is 1 if f2
         holds there and 0 otherwise. The stack is read top first down to the
         first suffix ``table`` holds as a point, the first symbol that cannot
         be popped, or the empty stack, and a symbol not solved yet has
-        ``_solve_support`` solve the stack's symbols. Then every suffix read
-        is folded and memoized in ``table``, bottom up, so a stack that
+        ``_solve_support`` solve the rest of the stack. Then every suffix
+        read is folded and memoized in ``table``, bottom up, so a stack that
         extends a folded one by a block costs one block. Where the value is
         0, every suffix read is 0 as well, and only ``state`` is memoized.
+
+        At a symbol whose numeric summary is None, the rest of the stack is
+        solved as well, as the symbols below it may not be yet, and the
+        result is the exact sign: True if a symbol read above it has
+        ``a > 0``, otherwise the ``a`` of the Boolean ``_fold`` of the rest
+        over the empty stack. Nothing is memoized then.
         """
         numeric = self.summaries.setdefault((f1, f2), {})
+        support = self.support.setdefault((f1, f2), {})
         h2 = self.head_sets[f2]
         value = ONE if None in h2 else ZERO
         read, suffix = [], state
         while suffix != EMPTY_MARK:
             head, _, rest = suffix.partition(" ")
-            try:
-                summary = numeric[head]
-            except KeyError:
-                _solve_support(self.gen.bpa.rules_by_head, self.head_sets[f1], h2,
-                               self.support.setdefault((f1, f2), {}), state.split(), numeric)
-                summary = numeric[head]
+            summary = numeric.get(head)
             if summary is None:
-                return None
+                stack = suffix.split()
+                _solve_support(self.gen.bpa.rules_by_head, self.head_sets[f1], h2, support, stack, numeric)
+                summary = numeric[head]
+                if summary is None:
+                    return any(a for _, (a, _) in read) or _fold(stack, support, (None in h2, False))[0]
             read.append((suffix, summary))
             if not summary[1]:
                 break
@@ -851,8 +832,9 @@ class Evaluator:
     def _reaches(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ThreeValued:
         """Decide ``P>0 (f1 U f2)`` at ``state`` without solving.
 
-        With propositional operands the per-symbol summaries decide it
-        exactly. Otherwise it is decided by reachability: in the least fixed
+        With propositional operands ``_point`` decides it exactly, from its
+        value or its sign, in every session, and memoizes the points it
+        folds. Otherwise it is decided by reachability: in the least fixed
         point that ``prob_until`` solves, a state's lower bound is positive
         exactly when a sink with a positive lower bound is reachable through
         variables, and likewise for the upper bound (Baier and Katoen,
@@ -861,11 +843,10 @@ class Evaluator:
         first sink with a positive lower bound (bounds are never negative,
         so a nonzero one is positive).
         """
-        positive = self._positive(state, f1, f2)
-        if positive is not None:
-            return TRUE if positive else FALSE
-        maybe = False
         table = self.until_cache.setdefault((f1, f2), {})
+        if self._compile(f1) is not None and self._compile(f2) is not None:
+            return TRUE if self._point(state, f1, f2, table) else FALSE
+        maybe = False
         for _, sink in self._walk(state, f1, f2, table):
             if sink is None:
                 continue

@@ -28,18 +28,18 @@ def _random_instance(rng: random.Random, max_n: int, max_m: int) -> reduction.Pc
             return reduction.PcpInstance(pairs)
 
 
-def complement_identity(rng: random.Random, count: int = 1000) -> str | None:
-    """rho(w Z') + rho_bar(w Z') = 1 for random words w of length 1..20."""
-    for _ in range(count):
+def complement_identity(rng: random.Random) -> str | None:
+    """rho(w Z') + rho_bar(w Z') = 1 for 1000 random words w of length 1..20."""
+    for _ in range(1000):
         w = _random_word(rng, 20)
         if reduction.rho(w + "Z'") + reduction.rho_bar(w + "Z'") != 1:
             return f"complement identity fails for {w}"
     return None
 
 
-def complement_uniqueness(rng: random.Random, count: int = 1000) -> str | None:
-    """rho(w Z') + rho_bar(w' Z') != 1 for random distinct words w, w' of length 1..10."""
-    for _ in range(count):
+def complement_uniqueness(rng: random.Random) -> str | None:
+    """rho(w Z') + rho_bar(w' Z') != 1 for 1000 random pairs of distinct words w, w' of length 1..10."""
+    for _ in range(1000):
         w = _random_word(rng, 10)
         wbar = _random_word(rng, 10)
         while wbar == w:

@@ -61,10 +61,6 @@ class Configuration:
 
     stack: tuple[str, ...]
 
-    @property
-    def head(self) -> str | None:
-        return self.stack[0] if self.stack else None
-
     def encode(self) -> str:
         return " ".join(self.stack) if self.stack else EMPTY_MARK
 

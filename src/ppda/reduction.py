@@ -368,10 +368,6 @@ class ReductionArtifact:
     top_formula: StateFormula
 
     @property
-    def n(self) -> int:
-        return self.instance.n
-
-    @property
     def m(self) -> int:
         return self.padded.m
 
@@ -548,7 +544,6 @@ def certify(
     word,
     *,
     artifact: ReductionArtifact | None = None,
-    variant: Variant | None = None,
     session: pctl.Evaluator | None = None,
 ) -> CertifyReport:
     """Exact certification of one guess against the until-formulas.
@@ -561,16 +556,17 @@ def certify(
     phi1/phi2 are propositional, so a session without a budget gives both
     values exactly.
 
-    Without an ``artifact`` the instance is compiled under ``variant``
-    (default: ``DEFAULT_VARIANT``). A caller sweeping many words of one
-    instance may pass its ``artifact`` and a shared ``session``, the
-    artifact's ``sweep_session``; popping chains of different words share
-    suffixes, so the session cache cuts most of the work.
+    Without an ``artifact`` the instance is compiled under
+    ``DEFAULT_VARIANT``; another variant is certified on its own
+    ``artifact``. A caller sweeping many words of one instance may also
+    pass a shared ``session``, the artifact's ``sweep_session``; popping
+    chains of different words share suffixes, so the session cache cuts
+    most of the work.
     """
     if artifact is None:
-        artifact = compile_instance(instance, variant or DEFAULT_VARIANT)
-    elif artifact.instance != instance or variant not in (None, artifact.variant):
-        raise ValueError("an artifact must be compiled from this instance, under the variant given")
+        artifact = compile_instance(instance)
+    elif artifact.instance != instance:
+        raise ValueError("an artifact must be compiled from this instance")
     word = _check_indices(instance, word)
     if session is None:
         session = pctl.Evaluator(artifact.chain, None)

@@ -37,7 +37,6 @@ from ppda.pctl import (
     has_placeholder,
     kleene_not,
     parse_formula,
-    parse_path_formula,
     serialize_formula,
 )
 from ppda.pushdown import Bpa, BpaRule, ChainGenerator, Configuration, induced_chain, parse_model
@@ -95,8 +94,24 @@ class TestParsing:
         with pytest.raises(BoundRangeError, match=r"^probability bound '10{39}'\.\.\. \(8803 characters\) outside"):
             Prob(Comparison.GT, Fraction(10**4400 + 1, 10**4400), Next(TRUE_FORMULA))
 
+    @pytest.mark.parametrize("bound", [0.5, 1, True, "1/2"], ids=["float", "int", "bool", "str"])
+    def test_bound_must_be_a_fraction_or_a_placeholder(self, bound):
+        with pytest.raises(BoundRangeError, match="must be a Fraction or a placeholder, got"):
+            Prob(Comparison.GT, bound, Next(TRUE_FORMULA))
+
+    def test_float_bound_does_not_alias_the_parsed_node(self):
+        # 0.5 == Fraction(1, 2) with the same hash, so a node built with it
+        # would be the one the interner hands the parser.
+        try:
+            kept = Prob(Comparison.GT, 0.5, Next(TRUE_FORMULA))
+        except BoundRangeError:
+            kept = None
+        parsed = parse_formula("(P> 1/2 (X true))")
+        assert parsed is not kept and type(parsed.bound) is Fraction
+        assert serialize_formula(parsed) == "(P> 1/2 (X true))"
+
     def test_path_formula_parses(self):
-        assert parse_path_formula("(U true (ap C))") == Until(TRUE_FORMULA, Atom("C"))
+        assert parse_formula("(P> 0 (U true (ap C)))").path == Until(TRUE_FORMULA, Atom("C"))
 
     def test_state_position_rejects_path_operator(self):
         with pytest.raises(FormulaSyntaxError):
@@ -233,6 +248,9 @@ class TestCompare:
         for lo, hi in ((Fraction(2, 3), Fraction(1, 3)), (Fraction(-1, 3), Fraction(1, 3)),
                        (Fraction(1, 3), Fraction(4, 3))):
             with pytest.raises(ValueError, match="invalid interval"):
+                ProbInterval(lo, hi)
+        for lo, hi in ((0.5, Fraction(1)), (Fraction(0), 1)):
+            with pytest.raises(TypeError, match="must be Fractions"):
                 ProbInterval(lo, hi)
         ours = Evaluator(gen_from({"a": [("b", H), ("c", H)]}), BUDGET).prob_next("a", Atom("b"))
         assert ours == ProbInterval(H, H) and hash(ours) == hash(ProbInterval(H, H))
@@ -485,7 +503,7 @@ class TestHeadSets:
         # and the session's caches, alive until a full collection.
         gen = _cyclic_chain()
         session = Evaluator(gen, Budget(100, 1000))
-        until = parse_path_formula(REACH_EMPTY)
+        until = REACH_EMPTY
         assert session.prob_until("X", until.left, until.right).lo > 0
         assert session.until_cache and gen._succ_cache
         refs = [weakref.ref(gen), weakref.ref(session)]
@@ -502,7 +520,7 @@ class TestHeadSets:
 
         gen = _cyclic_chain()
         gen.labels = refuse
-        until = parse_path_formula(REACH_EMPTY)
+        until = REACH_EMPTY
         expected = Evaluator(_cyclic_chain(), Budget(100, 1000)).prob_until("X", until.left, until.right)
         session = Evaluator(gen, Budget(100, 1000))
         assert session.prob_until("X", until.left, until.right) == expected
@@ -794,7 +812,7 @@ class TestUntilSupport:
         fold = pctl._fold
 
         def counting_fold(word, table, tail):
-            if tail == (False, True):  # a rule body over the pop; _positive's tail never is
+            if tail == (False, True):  # a rule body over the pop; a stack's fold never is
                 folds[tuple(word)] = folds.get(tuple(word), 0) + 1
             return fold(word, table, tail)
 
@@ -842,9 +860,8 @@ class TestUntilSupport:
         # Every symbol of the cyclic model can be popped under true, so
         # reaching the empty stack is positive, and f2 = false never is.
         session = Evaluator(_cyclic_chain(), Budget(1, 1))
-        reach_empty = parse_path_formula(REACH_EMPTY)
         never = Not(TRUE_FORMULA)
-        assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), reach_empty)) is TRUE
+        assert session.eval_state("X Y", parse_formula(REACH_EMPTY_QUERY)) is TRUE
         assert session.eval_state("X Y", Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, never))) is FALSE
 
     def test_check_configurations_never_solve_guessing_symbols(self, p1, p1_artifact):
@@ -945,10 +962,18 @@ class TestNumericSummaries:
 
     def test_budgeted_query_folds_once(self, monkeypatch):
         # An acyclic propositional until is one numeric fold of the encoded
-        # stack: the Boolean fold and the configuration parser are not run.
+        # stack: no Boolean fold of the stack and no configuration parse run.
+        # The solve folds rule bodies over the pop, (False, True); a stack's
+        # fold over the empty stack never has that tail.
         calls = []
-        positive, parse = Evaluator._positive, Configuration.parse.__func__
-        monkeypatch.setattr(Evaluator, "_positive", lambda *args: calls.append("_positive") or positive(*args))
+        fold, parse = pctl._fold, Configuration.parse.__func__
+
+        def stack_fold(word, table, tail):
+            if tail != (False, True):
+                calls.append("_fold")
+            return fold(word, table, tail)
+
+        monkeypatch.setattr(pctl, "_fold", stack_fold)
         monkeypatch.setattr(Configuration, "parse", classmethod(lambda *args: calls.append("parse") or parse(*args)))
         model = parse_model("X -> Y [1/2]\nX -> ~ [1/2]\nY -> ~ [1]\n")
         gen = induced_chain(model, Configuration(("X", "X")))
@@ -961,6 +986,29 @@ class TestNumericSummaries:
         assert session.prob_until("X X", TRUE_FORMULA, Atom("W")) == ProbInterval(Fraction(0), Fraction(0))
         assert session.until_cache[(TRUE_FORMULA, Atom("W"))] == {"X X": Fraction(0)}
         assert calls == []
+
+    def test_sign_past_a_solved_prefix_and_a_cycle(self):
+        # The first query solves P and the cyclic C, and not U or V. Later
+        # stacks run past them into U or V, which the fold must solve for the
+        # sign: C pops with probability 1, U reaches G, V never does. W's own
+        # a is positive, so a stack it tops is positive whatever lies below.
+        model = parse_model("P -> ~ [1]\nC -> C C [1/2]\nC -> ~ [1/2]\nU -> G [1/2]\nU -> D [1/2]\n"
+                            "D -> D [1]\nG -> ~ [1]\nV -> D [1]\nW -> G [1/2]\nW -> ~ [1/2]\n")
+        gen = induced_chain(model, Configuration(("P", "C")))
+        reach = parse_formula("(P> 0 (U true (ap G)))")
+        pair = (TRUE_FORMULA, Atom("G"))
+        zero = ProbInterval(Fraction(0), Fraction(0))
+        session = Evaluator(gen, Budget(20, 10))
+        assert session.prob_until("P C", *pair) == zero
+        assert session.summaries[pair] == {"P": (Fraction(0), Fraction(1)), "C": None}
+        assert session.eval_state("P C U", reach) is TRUE
+        assert session.eval_state("P C V", reach) is FALSE
+        assert session.eval_state("W C V", reach) is TRUE
+        # A sign is not memoized; only folded points are.
+        assert session.until_cache[pair] == {"P C": Fraction(0)}
+        assert session.prob_until("P C V", *pair) == zero
+        walked = session.prob_until("P C U", *pair)
+        assert walked.lo < H < walked.hi
 
     def test_two_symbol_body_reads_its_top_first(self):
         # Y and W each lose mass at B, where f1 fails, so the order of X's
@@ -990,8 +1038,8 @@ class TestNumericSummaries:
 
     def test_unbudgeted_session_solves_both_tables_and_walks(self, p1, p1_artifact, monkeypatch):
         # Every session solves the numeric summaries with the Boolean ones,
-        # but only a budgeted one reads them in prob_until: an unbudgeted
-        # walk is exact.
+        # and a P>0 query memoizes the points it folds, but only a budgeted
+        # session folds in prob_until: an unbudgeted walk is exact.
         walks = []
         walk = Evaluator._walk
 
@@ -1006,9 +1054,15 @@ class TestNumericSummaries:
         pair = (phi1.left, phi1.right)
         assert session.eval_state(state, Prob(Comparison.GT, Fraction(0), phi1)) is TRUE
         assert session.support[pair] and session.summaries[pair].keys() == session.support[pair].keys()
+        point = session.until_cache[pair][state]
+        assert type(point) is Fraction
+        assert session.prob_until(state, *pair) == ProbInterval(point, point)
         assert walks == []
-        assert session.prob_until(state, *pair).is_point
-        assert walks == [state]
+        # The check configuration of (1,) is no suffix of that of (1, 2).
+        unfolded = reduction.check_config(p1_artifact, (1,)).encode()
+        assert unfolded not in session.until_cache[pair]
+        assert session.prob_until(unfolded, *pair).is_point
+        assert walks == [unfolded]
 
     def test_doubling_chain_stops_at_the_bit_limit(self):
         # L_i -> L_{i+1} L_{i+1} doubles the bits of the summaries at every
@@ -1032,6 +1086,19 @@ class TestNumericSummaries:
 
 class TestDemandDrivenUntil:
     """Until-queries walk only what they reach, and the budget cuts that walk."""
+
+    def test_absorbing_state_is_no_expanded_variable(self):
+        # X loops on itself, so its summary is None and the query walks. A
+        # loops forever where f2 fails: it is a false sink, not a variable,
+        # so the second variable the budget allows is B, which reaches G.
+        # P = 1/4·P + 1/4, so 1/3.
+        model = parse_model("X -> A [1/2]\nX -> X [1/4]\nX -> B [1/4]\nA -> A [1]\nB -> G [1]\nG -> ~ [1]\n")
+        gen = induced_chain(model, Configuration(("X",)))
+        assert [d for d, _ in gen.successors("X")] == ["A", "B", "X"]
+        third = Fraction(1, 3)
+        session = Evaluator(gen, Budget(2, 10))
+        assert session.prob_until("X", TRUE_FORMULA, Atom("G")) == ProbInterval(third, third)
+        assert session.summaries[(TRUE_FORMULA, Atom("G"))]["X"] is None
 
     @settings(max_examples=300)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),
@@ -1118,6 +1185,21 @@ class TestSessionUntilTables:
         assert session.prob_until("c", TRUE_FORMULA, Atom("win")) == ProbInterval(one, one)
         assert session.until_cache[(TRUE_FORMULA, Atom("win"))] == {"b": one, "c": one}
 
+    def test_states_a_walk_cut_are_requeried_afresh(self):
+        # X loops on itself, so the query walks; at one variable it expands X
+        # and cuts A and B to open sinks. Neither may be read back as a point
+        # of its lower bound: B's value is 1.
+        model = parse_model("X -> A [1/2]\nX -> X [1/4]\nX -> B [1/4]\nA -> A [1]\nB -> G [1]\nG -> ~ [1]\n")
+        gen = induced_chain(model, Configuration(("X",)))
+        budget = Budget(1, 10)
+        session = Evaluator(gen, budget)
+        assert session.prob_until("X", TRUE_FORMULA, Atom("G")) == ProbInterval(Fraction(0), Fraction(1))
+        assert session.until_cache[(TRUE_FORMULA, Atom("G"))] == {"X": ProbInterval(Fraction(0), Fraction(1))}
+        for state, value in (("A", Fraction(0)), ("B", Fraction(1)), ("X", None)):
+            got = session.prob_until(state, TRUE_FORMULA, Atom("G"))
+            assert got == Evaluator(gen, budget).prob_until(state, TRUE_FORMULA, Atom("G"))
+            assert value is None or got == ProbInterval(value, value)
+
     @settings(max_examples=200)
     @given(small_bpas(), _propositional(), _propositional(), _propositional(), _propositional(),
            st.lists(st.tuples(st.lists(st.sampled_from(SYMBOLS), max_size=4), st.booleans()),
@@ -1155,7 +1237,8 @@ Y -> ~ [1/4]
 Z -> ~ [1]
 """
 CYCLIC_QUERY = "(P> 0 (U (not (ap Z)) (ap Z)))"
-REACH_EMPTY = "(U true (and (not (ap X)) (and (not (ap Y)) (not (ap Z)))))"
+REACH_EMPTY_QUERY = "(P> 0 (U true (and (not (ap X)) (and (not (ap Y)) (not (ap Z))))))"
+REACH_EMPTY = parse_formula(REACH_EMPTY_QUERY).path
 
 
 def _cyclic_chain() -> ChainGenerator:
@@ -1202,7 +1285,7 @@ class TestCyclicSolve:
         # The value is 1 and the system is critical, so the lower bounds
         # rise with the budget (0.980, 0.990, 0.995) and never reach it.
         gen = _cyclic_chain()
-        until = parse_path_formula(REACH_EMPTY)
+        until = REACH_EMPTY
         intervals = [Evaluator(gen, Budget(n, 1000)).prob_until("X", until.left, until.right)
                      for n in (100, 200, 400)]
         for wider, tighter in zip(intervals, intervals[1:]):
@@ -1213,10 +1296,10 @@ class TestCyclicSolve:
         model = tmp_path / "cyclic.bpa"
         model.write_text(CYCLIC_MODEL)
         query = tmp_path / "query.pctl"
-        query.write_text(f"(P> 0 {REACH_EMPTY})")
+        query.write_text(REACH_EMPTY_QUERY)
         code = main(["eval", "--model", str(model), "--config", "X", "--formula", str(query),
                      "--max-states", "200", "--max-depth", "1000"])
-        until = parse_path_formula(REACH_EMPTY)
+        until = REACH_EMPTY
         expected = Evaluator(_cyclic_chain(), Budget(200, 1000)).prob_until("X", until.left, until.right)
         assert code == 0 and expected.lo > 0
         assert capsys.readouterr().out == f"verdict=True\ninterval={expected}\n"

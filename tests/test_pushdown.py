@@ -10,6 +10,7 @@ from ppda.pctl import FALSE, TRUE, Atom, Evaluator
 from ppda.pushdown import (
     Bpa,
     BpaRule,
+    ChainGenerator,
     Configuration,
     InvalidModelError,
     ModelSyntaxError,
@@ -31,8 +32,8 @@ class TestConfiguration:
         assert Configuration.parse(text).encode() == text
 
     def test_head(self):
-        assert Configuration.parse("X Y").head == "X"
-        assert Configuration.parse("~").head is None
+        assert ChainGenerator.head("X Y") == "X"
+        assert ChainGenerator.head("~") is None
 
 
 class TestValidateModel:
@@ -89,7 +90,7 @@ class TestStep:
     def test_branch_after_checkpoint(self, p1, p1_artifact):
         config = reduction.check_config(p1_artifact, (1, 2))
         successors = step(p1_artifact.bpa, config.encode())
-        assert [Configuration.parse(c).head for c, _ in successors] == ["F", "S"]
+        assert [ChainGenerator.head(c) for c, _ in successors] == ["F", "S"]
         assert [p for _, p in successors] == [H, H]
 
     def test_empty_stack_self_loop(self, p1_artifact):

@@ -126,7 +126,7 @@ class TestCompile:
         # each block ends with a uniform choice among C and the n restarts
         for i in (1, 2):
             rules = p1_artifact.bpa.rules_by_head[f"G({i},3)"]
-            assert len(rules) == p1_artifact.n + 1
+            assert len(rules) == p1_artifact.instance.n + 1
             assert all(r.probability == F(1, 3) for r in rules)
 
     def test_initial_split_uniform(self, p1_artifact):
@@ -136,7 +136,7 @@ class TestCompile:
 
     def test_alphabet_size(self, p1_artifact):
         # 6 specials + 9 pair + 9 checked + n*(m+1) cursors
-        n, m = p1_artifact.n, p1_artifact.m
+        n, m = p1_artifact.instance.n, p1_artifact.m
         assert len(p1_artifact.bpa.alphabet) == 24 + n * (m + 1)
         assert len(p1_artifact.bpa.alphabet) == 30
 
@@ -352,11 +352,6 @@ class TestCertify:
     def test_artifact_must_be_compiled_from_the_instance(self, p1_artifact):
         with pytest.raises(ValueError, match="compiled from this instance"):
             certify(PcpInstance((("AB", "A"),)), (1,), artifact=p1_artifact)
-
-    def test_variant_must_be_the_artifacts(self, p1, p1_artifact):
-        with pytest.raises(ValueError, match="under the variant given"):
-            certify(p1, (1, 2), artifact=p1_artifact, variant=Variant.parse("cf-simple"))
-        assert certify(p1, (1, 2), artifact=p1_artifact, variant=Variant()) == certify(p1, (1, 2), variant=Variant())
 
     def test_unsolvable_top_formula_unknown_at_any_budget(self, unsolvable):
         artifact = compile_instance(unsolvable)
