@@ -10,7 +10,9 @@ stack reaches form no cycle, and in every session whether it is positive,
 which decides P>0 and P=0 over it at any budget. The rest is decided from
 a walk that the budget cuts. A formula with a probability operator is
 False outside its guard, the heads where it can hold, so the walk passes a
-state by its head where the left operand holds and the right one cannot.
+state by its head where the left operand holds and the right one cannot,
+and, by the Boolean summaries over the operands' head sets and guards,
+stops at a state from which the right operand's guard cannot be reached.
 Probabilities of path formulas are exact rational intervals that contain
 the true value and nest as the budget grows.
 """
@@ -171,6 +173,11 @@ class Atom(_Node):
 
     __slots__ = ("name",)
 
+    def __new__(cls, name: str) -> "Atom":
+        if not isinstance(name, str):
+            raise TypeError(f"an atom's name must be a str, got {type(name).__name__}")
+        return super().__new__(cls, name)
+
 
 class Not(_Node):
     __slots__ = ("operand",)
@@ -195,6 +202,10 @@ class Prob(_Node):
     __slots__ = ("comparison", "bound", "path")
 
     def __new__(cls, comparison: Comparison, bound: Bound, path: PathFormula) -> "Prob":
+        if not isinstance(comparison, Comparison):
+            raise TypeError(f"a comparison must be a Comparison, got {type(comparison).__name__}")
+        if not isinstance(path, (Next, Until)):
+            raise TypeError(f"a probability operator's path must be Next or Until, got {type(path).__name__}")
         # A float or int equal to a Fraction would find that node in the
         # intern table, so only Fractions and placeholders are bounds.
         if not isinstance(bound, (Fraction, BoundPlaceholder)):
@@ -501,6 +512,8 @@ def compare(interval: ProbInterval, comparison: Comparison, bound: Fraction) -> 
 _TRUE_SINK = (ONE, ONE)
 _FALSE_SINK = (ZERO, ZERO)
 _OPEN_SINK = (ZERO, ONE)
+# What the zero test reads for a head whose Boolean summary is not solved yet.
+_UNSOLVED = (False, False)
 
 
 class Evaluator:
@@ -536,9 +549,10 @@ class Evaluator:
     of a query's stack, returns the exact value, or, past a symbol whose
     numeric summary is None, the exact sign from the Boolean ``_fold``. So ``P>0``
     and ``P=0`` over such an until are always True or False, in every
-    session, and a budgeted session's ``prob_until`` returns the value, or
-    the point 0, without walking. An unbudgeted session's ``prob_until``
-    does not fold and walks: its walk is exact.
+    session, and in a budgeted session ``prob_until`` returns the value,
+    or the point 0, without walking, and ``P⋈r`` compares the value with r
+    exactly. An unbudgeted session's ``prob_until`` does not fold and walks:
+    its walk is exact.
 
     Until-queries that remain walk breadth-first from the query state
     through until-variables, and classify and solve only the states that
@@ -546,6 +560,12 @@ class Evaluator:
     variable is cut to an open sink once its depth in the walk reaches
     ``max_depth`` or ``max_states`` variables have been expanded. A head in
     f1's head set and outside f2's guard passes the operand tests unasked.
+    Where f1 or f2 has a probability operator, a walked state from whose
+    stack no run can reach f2's guard through f1's head set or guard is an
+    exact 0 sink, cut or not, and its successors are not walked: the zero
+    test, from the Boolean summaries over those head sets, which
+    ``support[(f1, f2)]`` holds for such a pair. A walk over propositional
+    operands does not take it, so certification pays nothing for it.
 
     ``budget=None`` cuts nothing: every walked state that passes the operand
     tests and is not absorbing is a variable. Use it only on chains whose
@@ -631,14 +651,20 @@ class Evaluator:
                 return FALSE
             return kleene_and(left, self.eval_state(state, formula.right))
         if isinstance(formula, Prob):
-            path = formula.path
-            if formula.bound == 0 and isinstance(path, Until):
+            path, bound = formula.path, formula.bound
+            if isinstance(path, Next):
+                return compare(self.prob_next(state, path.operand), formula.comparison, bound)
+            if bound == 0:
                 verdict = self._reaches(state, path.left, path.right)
                 if formula.comparison is Comparison.GT:
                     return verdict
                 return kleene_not(verdict)
-            interval = self.prob_path(state, path)
-            return compare(interval, formula.comparison, formula.bound)
+            value = self._until(state, path.left, path.right)
+            if type(value) is not Fraction:
+                return compare(value, formula.comparison, bound)
+            if formula.comparison is Comparison.GT:
+                return TRUE if value > bound else FALSE
+            return TRUE if value == bound else FALSE
         raise TypeError(f"not a state formula: {formula!r}")
 
     def prob_path(self, state: ChainState, path: PathFormula) -> ProbInterval:
@@ -658,10 +684,17 @@ class Evaluator:
         return _interval(lo, ONE - false_mass)
 
     def prob_until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ProbInterval:
+        value = self._until(state, f1, f2)
+        return _interval(value, value) if type(value) is Fraction else value
+
+    def _until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> Fraction | ProbInterval:
+        """``P(f1 U f2)`` at ``state``: an exact point as a bare ``Fraction``,
+        else the open interval of the walk. ``prob_until`` and a ``P⋈r``
+        over the until both read it, so they share its fold branch."""
         table = self.until_cache.setdefault((f1, f2), {})
         known = table.get(state)
         if known is not None:
-            return known if isinstance(known, ProbInterval) else _interval(known, known)
+            return known
         # Without a budget the walk is already exact, so only a budgeted
         # session needs the summaries to settle a value.
         if self.budget is not None and self._compile(f1) is not None and self._compile(f2) is not None:
@@ -669,7 +702,7 @@ class Evaluator:
             if value is False:
                 value = table[state] = ZERO
             if value is not True:
-                return _interval(value, value)
+                return value
 
         # Sinks carry fixed (lo, hi) contributions; the variables the walk
         # reaches become the unknowns of a linear system.
@@ -709,18 +742,16 @@ class Evaluator:
             lo, hi = sink_lo[state], sink_hi[state]
         else:
             lo, hi = lo_values[state], hi_values[state]
-        interval = _interval(lo, hi)
-        if lo != hi:
-            table[state] = interval
+        if lo == hi:
+            return lo
+        interval = table[state] = _interval(lo, hi)
         return interval
 
-    def _until_sink(self, d: ChainState, f1: StateFormula, f2: StateFormula, cut: bool
-                    ) -> tuple[Fraction, Fraction] | None:
+    def _until_sink(self, d: ChainState, f1: StateFormula, f2: StateFormula) -> tuple[Fraction, Fraction] | None:
         """The fixed (lo, hi) of ``d`` in an until-system from its operand
-        verdicts, or None for a state that satisfies f1 and not f2 and is
-        not ``cut`` by the budget. The one sink that is not a point is
-        ``_OPEN_SINK``: a state where an operand is Unknown, or a cut one.
-        f1 is evaluated only where f2 is not True.
+        verdicts, or None for a state that satisfies f1 and not f2. The one
+        sink that is not a point is ``_OPEN_SINK``, a state where an operand
+        is Unknown. f1 is evaluated only where f2 is not True.
         """
         right = self.eval_state(d, f2)
         if right is TRUE:
@@ -728,7 +759,7 @@ class Evaluator:
         left = self.eval_state(d, f1)
         if right is FALSE and left is FALSE:
             return _FALSE_SINK
-        if right is not FALSE or left is not TRUE or cut:
+        if right is not FALSE or left is not TRUE:
             return _OPEN_SINK
         return None
 
@@ -738,40 +769,55 @@ class Evaluator:
         Breadth-first from ``state``; ``sink`` is the fixed (lo, hi) of
         ``d``, classified when ``d`` is reached, or None for a variable, and
         only a variable's successors are walked. A point in ``table`` (the
-        pair's memo) is an exact sink; a head in ``variable_heads[(f1, f2)]``,
+        pair's memo) is an exact sink. Where f1 or f2 has a probability
+        operator, so that ``_point`` cannot fold the until, the zero test
+        comes next: a state whose stack has Boolean summary ``a = False``
+        over H1, f1's head set or guard, and H2, f2's guard, is an exact 0
+        sink, as no run from it can reach a head where f2 may hold through
+        heads where f1 may (Baier and Katoen, Principles of Model Checking,
+        2008, 10.1). The summaries are ``support[(f1, f2)]``, solved by
+        ``_solve_support`` without numeric ones, for the symbols of each
+        stack they have not met yet. A head in ``variable_heads[(f1, f2)]``,
         f1's head set less f2's guard, passes the operand tests, and any
         other state is classified by ``_until_sink``. A state that passes is
         a variable unless it is absorbing. The budget cuts the walk: a state
-        that would be a variable is cut once its depth reaches ``max_depth``
-        or ``max_states`` variables have been expanded; without a budget
-        nothing is cut. The least fixed point at ``state`` depends only on
-        the states yielded.
+        that would be a variable is cut to an open sink once its depth
+        reaches ``max_depth`` or ``max_states`` variables have been
+        expanded; without a budget nothing is cut. The least fixed point at
+        ``state`` depends only on the states yielded.
         """
         budget = self.budget
         max_states, max_depth = (budget.max_states, budget.max_depth) if budget else (inf, inf)
         successors, head = self.gen.successors, self.gen.head
+        h1, h2 = self.guards.get(f1, self._compile(f1)), self.guards.get(f2, self._compile(f2))
         passing = self.variable_heads.get((f1, f2))
         if passing is None:
-            passing = (self._compile(f1) or frozenset()) - self.guards.get(f2, self._compile(f2))
-            self.variable_heads[(f1, f2)] = passing
+            passing = self.variable_heads[(f1, f2)] = (self.head_sets[f1] or frozenset()) - h2
+        zeros = None
+        if self.head_sets[f1] is None or self.head_sets[f2] is None:
+            zeros = self.support.setdefault((f1, f2), {})
         expanded = 0
         seen = {state}
         queue = deque([(state, 0)])
         while queue:
             d, depth = queue.popleft()
-            cut = depth >= max_depth or expanded >= max_states
             known = table.get(d)
             if type(known) is Fraction:
-                sink = known, known
-            elif head(d) in passing:
-                sink = _OPEN_SINK if cut else None
+                yield d, (known, known)
+                continue
+            x = head(d)
+            if zeros is not None and not zeros.get(x, _UNSOLVED)[0] and self._zero(d, x, h1, h2, zeros):
+                sink = _FALSE_SINK
             else:
-                sink = self._until_sink(d, f1, f2, cut)
-            if sink is None:
-                out = successors(d)
-                if out == [(d, ONE)]:
-                    # f2 is False here and the run stays here forever.
-                    sink = _FALSE_SINK
+                sink = None if x in passing else self._until_sink(d, f1, f2)
+                if sink is None:
+                    if depth >= max_depth or expanded >= max_states:
+                        sink = _OPEN_SINK
+                    else:
+                        out = successors(d)
+                        if out == [(d, ONE)]:
+                            # f2 is False here and the run stays here forever.
+                            sink = _FALSE_SINK
             yield d, sink
             if sink is None:
                 expanded += 1
@@ -779,6 +825,18 @@ class Evaluator:
                     if target not in seen:
                         seen.add(target)
                         queue.append((target, depth + 1))
+
+    def _zero(self, d: ChainState, x: str | None, h1: frozenset, h2: frozenset, zeros: dict) -> bool:
+        """Whether the Boolean fold of the stack of ``d``, with head ``x``,
+        over the empty stack's ``(None in h2, False)`` has ``a = False``:
+        then ``P(f1 U f2)`` is 0 at ``d``. ``_solve_support`` first solves
+        the symbols of the stack that ``zeros`` lacks. It closes over the
+        rules of symbols outside H2 only, and a walk goes on past a head in
+        H2 where f2 is False, so a stack below one can hold symbols that no
+        solve has met."""
+        stack = [] if x is None else d.split()
+        _solve_support(self.gen.bpa.rules_by_head, h1, h2, zeros, stack, None)
+        return not _fold(stack, zeros, (None in h2, False))[0]
 
     def _point(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict) -> Fraction | bool:
         """The exact ``P(f1 U f2)`` at ``state``, for operands that compile to
@@ -824,7 +882,10 @@ class Evaluator:
                 break
         folded = []
         for suffix, (a, t) in reversed(read):
-            value = a + t * value
+            # a + t·value over one common denominator, normalized once.
+            a_den, t_den, v_den = a.denominator, t.denominator, value.denominator
+            value = Fraction(a.numerator * t_den * v_den + t.numerator * value.numerator * a_den,
+                             a_den * t_den * v_den)
             folded.append((suffix, value))
         table.update(folded if value else [(state, ZERO)])
         return value
@@ -841,7 +902,9 @@ class Evaluator:
         Principles of Model Checking, 2008, 10.3). So the same walk gives the
         verdict ``compare`` gives on the solved interval, and it stops at the
         first sink with a positive lower bound (bounds are never negative,
-        so a nonzero one is positive).
+        so a nonzero one is positive). The walk's zero sinks are exact, so
+        where a cut state is one, the verdict is False where an open sink
+        would have left it Unknown.
         """
         table = self.until_cache.setdefault((f1, f2), {})
         if self._compile(f1) is not None and self._compile(f2) is not None:
@@ -882,7 +945,7 @@ SUMMARY_BITS = 1 << 16
 
 
 def _solve_support(
-    rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...], numeric: dict
+    rules_by_head, h1: frozenset, h2: frozenset, table: dict, roots: tuple[str, ...], numeric: dict | None
 ) -> None:
     """Extend ``table``, symbol -> ``(a, t)`` for one until, to the unsolved
     ``roots`` and the unsolved symbols they reach, and ``numeric`` to the
@@ -900,11 +963,12 @@ def _solve_support(
     most ``1 + 2·len(body)`` times. Symbols already in ``table`` are final,
     because every solve closes over the symbols its rules reach.
 
-    ``numeric`` holds the exact summaries, the least solution of the same
-    equations over the rationals: a symbol in H_f2 is ``(1, 0)``, one whose
-    Boolean summary is ``(False, False)`` is ``(0, 0)``, and any other is
-    the sum over its rules ``X -> body [p]`` of ``p·(a, t)`` of the body,
-    where ``Y·W`` is ``(a_Y + t_Y·a_W, t_Y·t_W)`` and the pop ``(0, 1)``.
+    ``numeric``, unless it is None, gets the exact summaries, the least
+    solution of the same equations over the rationals: a symbol in H_f2 is
+    ``(1, 0)``, one whose Boolean summary is ``(False, False)`` is
+    ``(0, 0)``, and any other is the sum over its rules ``X -> body [p]``
+    of ``p·(a, t)`` of the body, where ``Y·W`` is ``(a_Y + t_Y·a_W,
+    t_Y·t_W)`` and the pop ``(0, 1)``.
     They are solved in topological order over the readers graph: a symbol
     is ready once no symbol its bodies hold is None. A symbol on a cycle,
     or above one, never gets ready and stays None, and so does one whose
@@ -933,6 +997,8 @@ def _solve_support(
         if (body_a and not a) or (body_t and not t):
             table[x] = (a or body_a, t or body_t)
             queue.extend(readers.get(x, ()))
+    if numeric is None:
+        return
     for x in new:
         numeric[x] = (ONE, ZERO) if x in h2 else (ZERO, ZERO) if table[x] == (False, False) else None
     waiting = {x: sum(numeric[y] is None for rule in rules_by_head[x] for y in rule.body)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import PpdaInputError, bounded, quote
 from .rationals import RationalFormatError, format_rational, parse_rational
@@ -110,39 +111,43 @@ def validate_model(model: Bpa) -> list[ModelViolation]:
     """Rule totality per head, exact (``Fraction``) probabilities in (0, 1]
     and their sums, body lengths, and symbols the configuration encoding
     carries: not ``~``, not empty, no whitespace. A head with a flagged
-    probability gets no sum violation on top."""
+    probability gets no sum violation on top. The checks run on the
+    numerators and denominators: a head's sum is taken over the least
+    common multiple of its denominators."""
     out: list[ModelViolation] = []
     if EMPTY_MARK in model.alphabet:
         out.append(ModelViolation(EMPTY_MARK, "'~' is the empty stack and cannot be a stack symbol"))
     for symbol in model.alphabet:
         if symbol.split() != [symbol]:
             out.append(ModelViolation(repr(symbol), "a stack symbol must be non-empty and hold no whitespace"))
-    per_head: dict[str, Fraction] = {}
+    per_head: dict[str, list[Fraction]] = {}
     flagged: set[str] = set()  # heads whose sum is not checked: a rule's probability is flagged instead
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for rule in model.rules:
+        p = rule.probability
         if len(rule.body) > 2:
             out.append(ModelViolation(_subject(rule), "body longer than 2 symbols"))
-        exact = isinstance(rule.probability, Fraction)
-        if not exact:
-            out.append(ModelViolation(
-                _subject(rule), f"probability must be an exact rational, got {type(rule.probability).__name__}"))
+        if not isinstance(p, Fraction):
+            out.append(ModelViolation(_subject(rule), f"probability must be an exact rational, got {type(p).__name__}"))
             flagged.add(rule.head)
-        elif not 0 < rule.probability <= 1:
-            out.append(ModelViolation(
-                _subject(rule), f"probability {bounded(format_rational(rule.probability))} outside (0,1]"))
+        elif not 0 < p.numerator <= p.denominator:
+            out.append(ModelViolation(_subject(rule), f"probability {bounded(format_rational(p))} outside (0,1]"))
             flagged.add(rule.head)
         key = (rule.head, rule.body)
         if key in seen:
             out.append(ModelViolation(_subject(rule), "duplicate rule"))
         seen.add(key)
-        per_head[rule.head] = per_head.get(rule.head, Fraction(0)) + (rule.probability if exact else 0)
+        per_head.setdefault(rule.head, []).append(p)
     for symbol in model.alphabet:
-        total = per_head.get(symbol)
-        if total is None:
+        probabilities = per_head.get(symbol)
+        if probabilities is None:
             out.append(ModelViolation(symbol, "no rule for this symbol"))
-        elif total != 1 and symbol not in flagged:
-            out.append(ModelViolation(symbol, f"rule probabilities sum to {bounded(format_rational(total))}, not 1"))
+        elif symbol not in flagged:
+            den = lcm(*[p.denominator for p in probabilities])
+            num = sum([p.numerator * (den // p.denominator) for p in probabilities])
+            if num != den:
+                total = bounded(format_rational(Fraction(num, den)))
+                out.append(ModelViolation(symbol, f"rule probabilities sum to {total}, not 1"))
     return out
 
 

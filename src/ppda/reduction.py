@@ -318,11 +318,12 @@ def build_phi(stop: str, marker: Callable[[str, str], str], other: str, hit: str
     return Until(guard, disjunction([Atom(marker(hit, z)) for z in SIGMA]))
 
 
-def _inner_conjunction(phi1: PathFormula, phi2: PathFormula) -> StateFormula:
-    return And(
-        Prob(Comparison.EQ, BoundPlaceholder.T_HALF, phi1),
-        Prob(Comparison.EQ, BoundPlaceholder.ONE_MINUS_T_HALF, phi2),
-    )
+# The bounds of the inner conjunction on phi1 and phi2, as placeholders.
+_PLACEHOLDER_BOUNDS = (BoundPlaceholder.T_HALF, BoundPlaceholder.ONE_MINUS_T_HALF)
+
+
+def _inner_conjunction(phi1: PathFormula, phi2: PathFormula, bounds=_PLACEHOLDER_BOUNDS) -> StateFormula:
+    return And(Prob(Comparison.EQ, bounds[0], phi1), Prob(Comparison.EQ, bounds[1], phi2))
 
 
 # The formulas do not depend on the instance, only on the fixed letter
@@ -332,8 +333,10 @@ PHI1 = build_phi("S", checked_symbol, "B", "A")
 PHI2 = build_phi("F", lambda x, z: checked_symbol(z, x), "A", "B")
 
 
-def build_top_formula(kind: VariantKind) -> StateFormula:
-    inner = _inner_conjunction(PHI1, PHI2)
+def build_top_formula(kind: VariantKind, bounds: tuple[pctl.Bound, pctl.Bound] = _PLACEHOLDER_BOUNDS) -> StateFormula:
+    """The top formula of ``kind``; ``bounds`` are those of its inner
+    conjunction, the placeholders t/2 and (1-t)/2 or their values."""
+    inner = _inner_conjunction(PHI1, PHI2, bounds)
     if kind is VariantKind.CF_SIMPLE:
         reached = And(Atom("C"), inner)
     elif kind is VariantKind.N_CHAIN:
@@ -587,10 +590,14 @@ def certify(
     )
 
 
-def instantiate_formula(formula: StateFormula, t: Fraction) -> StateFormula:
-    """Replace the symbolic t/2 and (1-t)/2 bounds by concrete rationals."""
+def _check_t(t: Fraction) -> None:
     if not 0 < t < 1:
         raise TRangeError(f"t must lie strictly between 0 and 1, got {bounded(format_rational(t))}")
+
+
+def instantiate_formula(formula: StateFormula, t: Fraction) -> StateFormula:
+    """Replace the symbolic t/2 and (1-t)/2 bounds by concrete rationals."""
+    _check_t(t)
 
     def swap(bound):
         if isinstance(bound, BoundPlaceholder):
@@ -601,4 +608,7 @@ def instantiate_formula(formula: StateFormula, t: Fraction) -> StateFormula:
 
 
 def instantiate_top_formula(artifact: ReductionArtifact, t: Fraction) -> StateFormula:
-    return instantiate_formula(artifact.top_formula, t)
+    """``instantiate_formula(artifact.top_formula, t)``, built directly: only
+    the nodes above the two bounds change, so no walk of the formula."""
+    _check_t(t)
+    return build_top_formula(artifact.variant.kind, tuple([bound.instantiate(t) for bound in _PLACEHOLDER_BOUNDS]))

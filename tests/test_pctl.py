@@ -99,6 +99,21 @@ class TestParsing:
         with pytest.raises(BoundRangeError, match="must be a Fraction or a placeholder, got"):
             Prob(Comparison.GT, bound, Next(TRUE_FORMULA))
 
+    @pytest.mark.parametrize("comparison", [">", "=", None])
+    def test_comparison_must_be_a_comparison(self, comparison):
+        with pytest.raises(TypeError, match="must be a Comparison, got"):
+            Prob(comparison, Fraction(1, 2), Next(TRUE_FORMULA))
+
+    @pytest.mark.parametrize("path", [TRUE_FORMULA, Atom("C"), "X true", None])
+    def test_path_must_be_next_or_until(self, path):
+        with pytest.raises(TypeError, match="must be Next or Until, got"):
+            Prob(Comparison.GT, Fraction(1, 2), path)
+
+    @pytest.mark.parametrize("name", [5, None, ("C",)])
+    def test_atom_name_must_be_a_str(self, name):
+        with pytest.raises(TypeError, match="name must be a str, got"):
+            Atom(name)
+
     def test_float_bound_does_not_alias_the_parsed_node(self):
         # 0.5 == Fraction(1, 2) with the same hash, so a node built with it
         # would be the one the interner hands the parser.
@@ -611,6 +626,46 @@ class TestQualitativeUntil:
         reached = top.path.right
         assert {artifact.chain.head(d) for d, f in evaluator.state_cache if f is reached} == {"C"}
 
+    def test_hopeless_walk_stops_behind_the_checkpoints(self, monkeypatch):
+        # From a checking-phase state no run comes back to a C, the guard of
+        # the outer until's right operand, so the zero test makes each state
+        # behind a C an exact 0 sink. The walk expands guessing states only,
+        # and the budget still cuts it to Unknown.
+        expanded, zeros = set(), set()
+        walk = Evaluator._walk
+
+        def recording_walk(self, state, f1, f2, table):
+            for d, sink in walk(self, state, f1, f2, table):
+                head = ChainGenerator.head(d)
+                if sink is None:
+                    expanded.add(head)
+                elif sink == (0, 0):
+                    zeros.add(head)
+                yield d, sink
+
+        monkeypatch.setattr(Evaluator, "_walk", recording_walk)
+        artifact = reduction.compile_instance(reduction.PcpInstance((("AB", "BA"), ("BA", "AB"))))
+        top = reduction.instantiate_top_formula(artifact, Fraction(5, 16))
+        assert Evaluator(artifact.chain, Budget(100_000, 30)).eval_state("Z", top) is UNKNOWN
+        assert expanded and all(x in ("Z", "C") or x.startswith("G(") for x in expanded)
+        assert zeros == {"N"}
+
+    @pytest.mark.parametrize("variant", ["default", "cf-simple", "n-chain 2"])
+    def test_certification_walks_build_no_zero_tables(self, p1, variant, monkeypatch):
+        # The zero test is for untils _point cannot fold. Certification walks
+        # propositional untils without a budget, and must not pay for it.
+        solves = []
+        solve = pctl._solve_support
+        monkeypatch.setattr(pctl, "_solve_support", lambda *args: solves.append(args) or solve(*args))
+        artifact = reduction.compile_instance(p1, reduction.Variant.parse(variant))
+        sweep = reduction.sweep_session(artifact, 3)
+        for word in ((1,), (2,), (1, 2), (2, 1, 1)):
+            fresh = Evaluator(artifact.chain, None)
+            reduction.certify(p1, word, artifact=artifact, session=fresh)
+            reduction.certify(p1, word, artifact=artifact, session=sweep)
+            assert fresh.support == {} and fresh.until_cache
+        assert sweep.support == {} and solves == []
+
 
 def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
     """The until-interval at the start from the whole region: explore it, classify
@@ -639,18 +694,25 @@ def _full_region_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInter
     return ProbInterval(lo, hi)
 
 
-def _walk_cut_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval:
+def _walk_cut_until(gen: ChainGenerator, budget: Budget, f1, f2, zero_heads=None) -> ProbInterval:
     """The until-interval at the start from a walk through variables, level by
     level, that cuts a candidate variable at depth ``max_depth`` or once
-    ``max_states`` variables are expanded; then solve for both bounds."""
+    ``max_states`` variables are expanded; then solve for both bounds.
+
+    With ``zero_heads``, a pair (H1, H2) of head sets, a state from whose
+    stack no run can reach H2 through H1, by the Boolean summaries of
+    ``_kleene_support``, is a 0 sink before its operands are asked."""
     operands = Evaluator(gen, budget)  # the operands' verdicts do not depend on the budget
+    support = None if zero_heads is None else _kleene_support(gen.bpa, *zero_heads)
     sink_lo, sink_hi, variables = {}, {}, []
     seen, level, depth = {gen.initial}, [gen.initial], 0
     while level:
         below = []
         for d in level:
             right, left = operands.eval_state(d, f2), operands.eval_state(d, f1)
-            if right is TRUE:
+            if support is not None and not _stack_reaches(support, d, zero_heads[1]):
+                sink = (Fraction(0), Fraction(0))
+            elif right is TRUE:
                 sink = (Fraction(1), Fraction(1))
             elif right is FALSE and left is FALSE:
                 sink = (Fraction(0), Fraction(0))
@@ -672,6 +734,19 @@ def _walk_cut_until(gen: ChainGenerator, budget: Budget, f1, f2) -> ProbInterval
     lo = _least_fixed_point(variables, gen.successors, sink_lo)[gen.initial]
     hi = _least_fixed_point(variables, gen.successors, sink_hi)[gen.initial]
     return ProbInterval(lo, hi)
+
+
+def _stack_reaches(support: dict, state: str, h2: frozenset) -> bool:
+    """Whether a run from ``state`` can reach H2 by the Boolean summaries in
+    ``support``: some symbol of the stack that every symbol above it lets
+    pop has ``a`` true, or every symbol pops and the empty stack is in H2."""
+    for x in Configuration.parse(state).stack:
+        reach, passes = support[x]
+        if reach:
+            return True
+        if not passes:
+            return False
+    return None in h2
 
 
 def _support_verdict(gen: ChainGenerator, f1, f2):
@@ -1126,13 +1201,18 @@ class TestDemandDrivenUntil:
         else:
             assert interval == walked
             assert max(interval.lo, reference.lo) <= min(interval.hi, reference.hi)
-        left = And(_EVERYWHERE, f1)
-        forced = Evaluator(gen, budget).prob_until(gen.initial, left, f2)
-        assert forced == _walk_cut_until(gen, budget, left, f2)
+        # An operand with a probability operator makes the until walked, with
+        # the zero test over f1's and f2's head sets: the interval is the
+        # reference walk's with the same zero rule, which lies inside the
+        # walk without it.
+        zero_walked = _walk_cut_until(gen, budget, f1, f2, (session.head_sets[f1], session.head_sets[f2]))
+        assert walked.lo <= zero_walked.lo <= zero_walked.hi <= walked.hi
+        forced = Evaluator(gen, budget).prob_until(gen.initial, And(_EVERYWHERE, f1), f2)
+        assert forced == zero_walked
         assert max(forced.lo, reference.lo) <= min(forced.hi, reference.hi)
-        # A right operand with a probability operator is walked too, and
-        # passes the heads outside its guard without evaluating it.
-        assert Evaluator(gen, budget).prob_until(gen.initial, f1, And(_EVERYWHERE, f2)) == walked
+        # A right operand with a probability operator passes the heads
+        # outside its guard without evaluating it.
+        assert Evaluator(gen, budget).prob_until(gen.initial, f1, And(_EVERYWHERE, f2)) == zero_walked
 
     @settings(max_examples=300)
     @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3),

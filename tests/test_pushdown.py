@@ -7,6 +7,7 @@ from conftest import SYMBOLS, small_bpas
 from ppda import reduction
 from ppda.chain import Budget, explore
 from ppda.pctl import FALSE, TRUE, Atom, Evaluator
+from ppda.rationals import format_rational
 from ppda.pushdown import (
     Bpa,
     BpaRule,
@@ -76,6 +77,68 @@ class TestValidateModel:
         problems = validate_model(model)
         assert [p.subject for p in problems] == [repr(symbol)]
         assert "non-empty and hold no whitespace" in problems[0].reason
+
+
+def _reference_violations(model: Bpa) -> list[tuple[str, str]]:
+    """``validate_model``'s (subject, reason) pairs, with each check written
+    on ``Fraction`` values: comparisons with 0 and 1, and sums of the
+    probabilities themselves."""
+    def subject(rule):
+        return f"{rule.head} -> {' '.join(rule.body) or '~'}"
+
+    out = []
+    if "~" in model.alphabet:
+        out.append(("~", "'~' is the empty stack and cannot be a stack symbol"))
+    out += [(repr(x), "a stack symbol must be non-empty and hold no whitespace")
+            for x in model.alphabet if x.split() != [x]]
+    totals, flagged, seen = {}, set(), set()
+    for rule in model.rules:
+        p = rule.probability
+        if len(rule.body) > 2:
+            out.append((subject(rule), "body longer than 2 symbols"))
+        if type(p) is not Fraction:
+            out.append((subject(rule), f"probability must be an exact rational, got {type(p).__name__}"))
+            flagged.add(rule.head)
+        elif p <= 0 or p > 1:
+            out.append((subject(rule), f"probability {format_rational(p)} outside (0,1]"))
+            flagged.add(rule.head)
+        if (rule.head, rule.body) in seen:
+            out.append((subject(rule), "duplicate rule"))
+        seen.add((rule.head, rule.body))
+        totals[rule.head] = totals.get(rule.head, Fraction(0)) + (p if type(p) is Fraction else 0)
+    for x in model.alphabet:
+        if x not in totals:
+            out.append((x, "no rule for this symbol"))
+        elif x not in flagged and totals[x] != 1:
+            out.append((x, f"rule probabilities sum to {format_rational(totals[x])}, not 1"))
+    return out
+
+
+_probabilities = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 3), 0.5, 1.0, True, False, 1, 0]),
+)
+_rule_lists = st.lists(
+    st.builds(BpaRule, st.sampled_from(SYMBOLS + ("Z",)),
+              st.lists(st.sampled_from(SYMBOLS + ("Z",)), max_size=3).map(tuple), _probabilities),
+    min_size=1, max_size=8)
+
+
+class TestValidateModelReference:
+    @given(_rule_lists)
+    def test_matches_fraction_reference(self, rules):
+        # Float, bool, int, 0, negative and >1 probabilities, sums other
+        # than 1, long bodies, duplicates and symbols without rules, in the
+        # same order and with the same messages.
+        model = Bpa.make(rules)
+        assert [(v.subject, v.reason) for v in validate_model(model)] == _reference_violations(model)
+
+    def test_sum_over_mixed_denominators(self):
+        rules = [BpaRule("X", (), Fraction(1, 3)), BpaRule("X", ("X",), Fraction(1, 4)),
+                 BpaRule("X", ("X", "X"), Fraction(5, 12))]
+        assert validate_model(Bpa.make(rules)) == []
+        rules[2] = BpaRule("X", ("X", "X"), Fraction(1, 6))
+        assert [v.reason for v in validate_model(Bpa.make(rules))] == ["rule probabilities sum to 3/4, not 1"]
 
 
 class TestStep:

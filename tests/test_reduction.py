@@ -458,6 +458,14 @@ class TestTopFormula:
         assert "?t/2" in text and "?(1-t)/2" in text
         assert pctl.parse_formula(text) == p1_artifact.top_formula
 
+    @pytest.mark.parametrize("variant", ["default", "cf-simple", "n-chain 3"])
+    @pytest.mark.parametrize("t", [F(3, 16), F(1, 2), F(1, 3)])
+    def test_instantiation_is_the_template_instantiated(self, p1, variant, t):
+        # The top formula is built with its bounds, not rewritten from the
+        # template, and is the same interned node as the rewrite.
+        artifact = compile_instance(p1, Variant.parse(variant))
+        assert instantiate_top_formula(artifact, t) is reduction.instantiate_formula(artifact.top_formula, t)
+
     @pytest.mark.parametrize("t", [F(0), F(1), F(-1, 2), F(3, 2)])
     def test_t_range_enforced(self, p1_artifact, t):
         with pytest.raises(TRangeError):
