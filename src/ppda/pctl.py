@@ -7,14 +7,17 @@ they hold in the exact semantics, otherwise Unknown. An until with
 propositional operands is answered by one fold of per-symbol summaries over
 its stack: in a budgeted session its exact value wherever the symbols the
 stack reaches form no cycle, and in every session whether it is positive,
-which decides P>0 and P=0 over it at any budget. The rest is decided from
-a walk that the budget cuts. A formula with a probability operator is
-False outside its guard, the heads where it can hold, so the walk passes a
-state by its head where the left operand holds and the right one cannot,
-and, by the Boolean summaries over the operands' head sets and guards,
-stops at a state from which the right operand's guard cannot be reached.
-Probabilities of path formulas are exact rational intervals that contain
-the true value and nest as the budget grows.
+which decides P>0 and P=0 over it at any budget. P=1, P>0 and P=0 over a
+next are decided from the successors' verdicts alone, with no arithmetic.
+The rest is decided from a walk that the budget cuts. A formula with a
+probability operator is False outside its guard, the heads where it can
+hold, so the walk passes a state by its head where the left operand holds
+and the right one cannot, and, by the Boolean summaries over the operands'
+head sets and guards, stops at a state from which the right operand's
+guard cannot be reached; each such zero is memoized, so a stack that
+extends a tested one costs its new block. Probabilities of path formulas
+are exact rational intervals that contain the true value and nest as the
+budget grows.
 """
 from __future__ import annotations
 
@@ -563,9 +566,14 @@ class Evaluator:
     Where f1 or f2 has a probability operator, a walked state from whose
     stack no run can reach f2's guard through f1's head set or guard is an
     exact 0 sink, cut or not, and its successors are not walked: the zero
-    test, from the Boolean summaries over those head sets, which
+    test, ``_zero``, from the Boolean summaries over those head sets, which
     ``support[(f1, f2)]`` holds for such a pair. A walk over propositional
     operands does not take it, so certification pays nothing for it.
+
+    ``P=1``, ``P>0`` and ``P=0`` over a next are qualitative: they are
+    decided from the successors' verdicts, all True, some True or some
+    False, and the scan stops at the first successor that decides, with no
+    ``prob_next`` interval. Other bounds compare ``prob_next``'s interval.
 
     ``budget=None`` cuts nothing: every walked state that passes the operand
     tests and is not absorbing is a variable. Use it only on chains whose
@@ -574,10 +582,10 @@ class Evaluator:
 
     Until results are memoized per formula pair: ``until_cache[(f1, f2)]``
     maps a state to its exact value as a bare ``Fraction``, for every
-    state a query walked that resolved to a point and every stack suffix
-    ``_point`` folded, or to the open ``ProbInterval`` a query at that
-    state returned. A query looks its pair's table up once and then reads
-    it by state.
+    state a query walked that resolved to a point, every stack suffix
+    ``_point`` folded and every stack suffix the zero test proved 0, or to
+    the open ``ProbInterval`` a query at that state returned. A query looks
+    its pair's table up once and then reads it by state.
     """
 
     def __init__(self, gen: ChainGenerator, budget: Budget | None) -> None:
@@ -653,6 +661,14 @@ class Evaluator:
         if isinstance(formula, Prob):
             path, bound = formula.path, formula.bound
             if isinstance(path, Next):
+                if bound == 0:
+                    # P>0 holds where some successor does, P=0 where none
+                    # does; Unknown only where none is True and one is Unknown.
+                    verdict = self._some_successor(state, path.operand, TRUE)
+                    return verdict if formula.comparison is Comparison.GT else kleene_not(verdict)
+                if bound == 1 and formula.comparison is Comparison.EQ:
+                    # P=1 holds where every successor does.
+                    return kleene_not(self._some_successor(state, path.operand, FALSE))
                 return compare(self.prob_next(state, path.operand), formula.comparison, bound)
             if bound == 0:
                 verdict = self._reaches(state, path.left, path.right)
@@ -682,6 +698,21 @@ class Evaluator:
             elif verdict is FALSE:
                 false_mass += prob
         return _interval(lo, ONE - false_mass)
+
+    def _some_successor(self, state: ChainState, formula: StateFormula, verdict: ThreeValued) -> ThreeValued:
+        """Whether some successor of ``state`` gets ``verdict`` on ``formula``:
+        True at the first that does, with no later successor evaluated; False
+        where every successor gets the other definite verdict; else Unknown.
+        Successor probabilities are positive, so this is the qualitative
+        reading of ``prob_next``'s interval at the bounds 0 and 1."""
+        unknown = False
+        for target, _ in self.gen.successors(state):
+            found = self.eval_state(target, formula)
+            if found is verdict:
+                return TRUE
+            if found is UNKNOWN:
+                unknown = True
+        return UNKNOWN if unknown else FALSE
 
     def prob_until(self, state: ChainState, f1: StateFormula, f2: StateFormula) -> ProbInterval:
         value = self._until(state, f1, f2)
@@ -777,7 +808,10 @@ class Evaluator:
         heads where f1 may (Baier and Katoen, Principles of Model Checking,
         2008, 10.1). The summaries are ``support[(f1, f2)]``, solved by
         ``_solve_support`` without numeric ones, for the symbols of each
-        stack they have not met yet. A head in ``variable_heads[(f1, f2)]``,
+        stack they have not met yet. Only a head whose own ``a`` is False
+        asks ``_zero``, which folds the stack down to the first point in
+        ``table`` and memoizes there each suffix it proves 0. A head in
+        ``variable_heads[(f1, f2)]``,
         f1's head set less f2's guard, passes the operand tests, and any
         other state is classified by ``_until_sink``. A state that passes is
         a variable unless it is absorbing. The budget cuts the walk: a state
@@ -788,7 +822,7 @@ class Evaluator:
         """
         budget = self.budget
         max_states, max_depth = (budget.max_states, budget.max_depth) if budget else (inf, inf)
-        successors, head = self.gen.successors, self.gen.head
+        successors = self.gen.successors
         h1, h2 = self.guards.get(f1, self._compile(f1)), self.guards.get(f2, self._compile(f2))
         passing = self.variable_heads.get((f1, f2))
         if passing is None:
@@ -805,8 +839,10 @@ class Evaluator:
             if type(known) is Fraction:
                 yield d, (known, known)
                 continue
-            x = head(d)
-            if zeros is not None and not zeros.get(x, _UNSOLVED)[0] and self._zero(d, x, h1, h2, zeros):
+            x = d.partition(" ")[0]
+            if x == EMPTY_MARK:
+                x = None
+            if zeros is not None and not zeros.get(x, _UNSOLVED)[0] and self._zero(d, h1, h2, zeros, table):
                 sink = _FALSE_SINK
             else:
                 sink = None if x in passing else self._until_sink(d, f1, f2)
@@ -815,7 +851,7 @@ class Evaluator:
                         sink = _OPEN_SINK
                     else:
                         out = successors(d)
-                        if out == [(d, ONE)]:
+                        if len(out) == 1 and out[0][0] == d:
                             # f2 is False here and the run stays here forever.
                             sink = _FALSE_SINK
             yield d, sink
@@ -826,17 +862,43 @@ class Evaluator:
                         seen.add(target)
                         queue.append((target, depth + 1))
 
-    def _zero(self, d: ChainState, x: str | None, h1: frozenset, h2: frozenset, zeros: dict) -> bool:
-        """Whether the Boolean fold of the stack of ``d``, with head ``x``,
-        over the empty stack's ``(None in h2, False)`` has ``a = False``:
-        then ``P(f1 U f2)`` is 0 at ``d``. ``_solve_support`` first solves
-        the symbols of the stack that ``zeros`` lacks. It closes over the
-        rules of symbols outside H2 only, and a walk goes on past a head in
-        H2 where f2 is False, so a stack below one can hold symbols that no
-        solve has met."""
-        stack = [] if x is None else d.split()
-        _solve_support(self.gen.bpa.rules_by_head, h1, h2, zeros, stack, None)
-        return not _fold(stack, zeros, (None in h2, False))[0]
+    def _zero(self, d: ChainState, h1: frozenset, h2: frozenset, zeros: dict, table: dict) -> bool:
+        """Whether the Boolean fold of the stack of ``d`` over H1 and H2 has
+        ``a = False``: then ``P(f1 U f2)`` is 0 at ``d``.
+
+        The stack is read top first, as ``_point`` reads it, down to the first
+        symbol that cannot be popped, the empty stack, whose ``a`` is
+        ``None in h2``, or the first suffix that ``table``, the pair's
+        ``until_cache`` table, holds as an exact point, whose sign is the
+        tail's ``a``. A head with no summary yet has ``_solve_support`` solve
+        the rest of the stack: its closure stops at H2, and a walk goes on
+        past a head in H2 where f2 is False, so a stack below one can hold
+        symbols that no solve has met. The suffixes read are folded bottom
+        up, and each whose ``a`` is False is stored in ``table`` as the point
+        ``ZERO``, so a stack that extends a tested one by a block reads and
+        folds that block alone."""
+        value = None in h2
+        read, suffix = [], d
+        while suffix != EMPTY_MARK:
+            x, _, rest = suffix.partition(" ")
+            summary = zeros.get(x)
+            if summary is None:
+                _solve_support(self.gen.bpa.rules_by_head, h1, h2, zeros, suffix.split(), None)
+                summary = zeros[x]
+            read.append((suffix, summary))
+            if not summary[1]:
+                break
+            suffix = rest or EMPTY_MARK
+            known = table.get(suffix)
+            if type(known) is Fraction:
+                value = known > 0
+                break
+        for suffix, (a, t) in reversed(read):
+            value = a or (t and value)
+            if value:
+                return False
+            table[suffix] = ZERO
+        return not value
 
     def _point(self, state: ChainState, f1: StateFormula, f2: StateFormula, table: dict) -> Fraction | bool:
         """The exact ``P(f1 U f2)`` at ``state``, for operands that compile to

@@ -101,6 +101,15 @@ class Bpa:
             grouped.setdefault(rule.head, []).append(rule)
         return {head: tuple(rules) for head, rules in grouped.items()}
 
+    @cached_property
+    def bodies_by_head(self) -> dict[str, tuple[tuple[str, Fraction], ...]]:
+        """``step``'s memo of each head's rules as ``(prefix, probability)``,
+        in rule order: the prefix is the body's symbols, each followed by one
+        space, so a successor is one concatenation. ``step`` fills it one head
+        at a time, at the head's first step, so a model that is walked only
+        a little joins only the bodies it uses."""
+        return {}
+
 
 def _subject(rule: BpaRule) -> str:
     """How a violation names its rule; built only when one is recorded."""
@@ -161,11 +170,17 @@ def step(model: Bpa, state: str) -> list[tuple[str, Fraction]]:
     head, _, rest = state.partition(" ")
     if head == EMPTY_MARK:
         return [(state, ONE)]
-    rules = model.rules_by_head.get(head)
-    if rules is None:
-        raise UnknownSymbolError(head)
-    tail = (rest,) if rest else ()
-    successors = [(" ".join(rule.body + tail) or EMPTY_MARK, rule.probability) for rule in rules]
+    bodies = model.bodies_by_head.get(head)
+    if bodies is None:
+        rules = model.rules_by_head.get(head)
+        if rules is None:
+            raise UnknownSymbolError(head)
+        bodies = model.bodies_by_head[head] = tuple(
+            [(" ".join(rule.body) + " " if rule.body else "", rule.probability) for rule in rules])
+    if rest:
+        successors = [(prefix + rest, p) for prefix, p in bodies]
+    else:
+        successors = [(prefix[:-1] or EMPTY_MARK, p) for prefix, p in bodies]
     successors.sort()
     return successors
 

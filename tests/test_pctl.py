@@ -549,6 +549,44 @@ class TestHeadSets:
 _EVERYWHERE = Prob(Comparison.GT, Fraction(0), Next(TRUE_FORMULA))
 
 
+class TestQualitativeNext:
+    """P=1, P>0 and P=0 over a next are decided from the successors' verdicts,
+    and must give what ``compare`` gives on ``prob_next``'s interval."""
+
+    @settings(max_examples=200)
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS), max_size=3), _propositional())
+    def test_matches_the_interval(self, model, stack, f):
+        gen = induced_chain(model, Configuration(tuple(stack)))
+        # The until is walked, so at the small budget it can be Unknown.
+        walked = Prob(Comparison.GT, H, Until(_EVERYWHERE, f))
+        for budget in (Budget(1, 1), Budget(50, 50)):
+            for operand in (f, And(_EVERYWHERE, f), walked):
+                interval = Evaluator(gen, budget).prob_next(gen.initial, operand)
+                for comparison, bound in ((Comparison.EQ, Fraction(1)), (Comparison.GT, Fraction(0)),
+                                          (Comparison.EQ, Fraction(0))):
+                    formula = Prob(comparison, bound, Next(operand))
+                    verdict = Evaluator(gen, budget).eval_state(gen.initial, formula)
+                    assert verdict is compare(interval, comparison, bound)
+
+    def test_first_deciding_successor_ends_the_scan(self):
+        # a's successors are b, then c. reached holds at c and not at b, so
+        # P=1 stops at b and P>0 at c: each scan stops at the first
+        # successor whose verdict decides and evaluates no later one.
+        gen = gen_from({"a": [("b", H), ("c", H)], "b": [("e", Fraction(1))], "c": [("d", Fraction(1))]})
+        reached = Prob(Comparison.EQ, Fraction(1), Next(Atom("d")))
+        session = Evaluator(gen, BUDGET)
+        assert session.eval_state("a", Prob(Comparison.EQ, Fraction(1), Next(reached))) is FALSE
+        assert ("b", reached) in session.state_cache and ("c", reached) not in session.state_cache
+        assert session.eval_state("a", Prob(Comparison.GT, Fraction(0), Next(reached))) is TRUE
+        assert session.state_cache[("c", reached)] is TRUE
+        # A P=1 whose first successor is Unknown goes on to a False one.
+        unknown = Prob(Comparison.GT, Fraction(0), Until(_EVERYWHERE, Atom("d")))
+        gen = gen_from({"a": [("b", H), ("c", H)], "b": [("f", Fraction(1))], "f": [("d", Fraction(1))]})
+        session = Evaluator(gen, Budget(1, 1))
+        assert session.eval_state("a", Prob(Comparison.EQ, Fraction(1), Next(unknown))) is FALSE
+        assert session.state_cache[("b", unknown)] is UNKNOWN and session.state_cache[("c", unknown)] is FALSE
+
+
 class TestQualitativeUntil:
     """Bound-0 untils over propositional operands are decided exactly; the
     verdicts must agree with the solve wherever the solved interval decides."""
@@ -631,24 +669,58 @@ class TestQualitativeUntil:
         # the outer until's right operand, so the zero test makes each state
         # behind a C an exact 0 sink. The walk expands guessing states only,
         # and the budget still cuts it to Unknown.
+        # Each zero the test proves is memoized as the point 0, so a later
+        # walk of the same until reads it as a sink, with the same answer.
         expanded, zeros = set(), set()
         walk = Evaluator._walk
 
         def recording_walk(self, state, f1, f2, table):
             for d, sink in walk(self, state, f1, f2, table):
-                head = ChainGenerator.head(d)
                 if sink is None:
-                    expanded.add(head)
+                    expanded.add(ChainGenerator.head(d))
                 elif sink == (0, 0):
-                    zeros.add(head)
+                    zeros.add(d)
                 yield d, sink
 
         monkeypatch.setattr(Evaluator, "_walk", recording_walk)
         artifact = reduction.compile_instance(reduction.PcpInstance((("AB", "BA"), ("BA", "AB"))))
         top = reduction.instantiate_top_formula(artifact, Fraction(5, 16))
-        assert Evaluator(artifact.chain, Budget(100_000, 30)).eval_state("Z", top) is UNKNOWN
+        budget = Budget(100_000, 30)
+        session = Evaluator(artifact.chain, budget)
+        assert session.eval_state("Z", top) is UNKNOWN
         assert expanded and all(x in ("Z", "C") or x.startswith("G(") for x in expanded)
-        assert zeros == {"N"}
+        assert {ChainGenerator.head(d) for d in zeros} == {"N"}
+        table = session.until_cache[(TRUE_FORMULA, top.path.right)]
+        assert all(type(table[d]) is Fraction and table[d] == 0 for d in zeros)
+        again = session.prob_until("Z", TRUE_FORMULA, top.path.right)
+        assert again == Evaluator(artifact.chain, budget).prob_until("Z", TRUE_FORMULA, top.path.right)
+
+    def test_zero_test_memoizes_the_zeros_it_proves(self, monkeypatch):
+        # N and K pop, and f2 may hold only where G is the head. The stack
+        # N K is 0 at both of its suffixes, and both are memoized.
+        model = parse_model("N -> ~ [1]\nK -> ~ [1]\nG -> G [1]\n")
+        gen = induced_chain(model, Configuration(("N", "K")))
+        zero, one = ProbInterval(Fraction(0), Fraction(0)), ProbInterval(Fraction(1), Fraction(1))
+        f2 = And(_EVERYWHERE, Atom("G"))
+        session = Evaluator(gen, BUDGET)
+        table = session.until_cache.setdefault((TRUE_FORMULA, f2), {})
+        assert session.prob_until("N K", TRUE_FORMULA, f2) == zero
+        assert table == {"N K": 0, "K": 0}
+        assert session.prob_until("N N K", TRUE_FORMULA, f2) == zero
+        assert table == {"N K": 0, "K": 0, "N N K": 0}
+        # Below N, G is positive, so nothing is memoized as 0: the walk goes
+        # on to G, where f2 holds.
+        assert session.prob_until("N G", TRUE_FORMULA, f2) == one
+        assert table["N G"] == table["G"] == 1
+        # A point the table holds ends the read, and its sign is the tail's:
+        # never is False at G, so once the walk at G memoizes 0 there, N G
+        # is a zero sink, though G is in never's guard.
+        never = And(Prob(Comparison.EQ, Fraction(0), Next(TRUE_FORMULA)), Atom("G"))
+        assert session.prob_until("G", TRUE_FORMULA, never) == zero
+        asked = []
+        successors = gen.successors
+        monkeypatch.setattr(gen, "successors", lambda state: asked.append(state) or successors(state))
+        assert session.prob_until("N G", TRUE_FORMULA, never) == zero and asked == []
 
     @pytest.mark.parametrize("variant", ["default", "cf-simple", "n-chain 2"])
     def test_certification_walks_build_no_zero_tables(self, p1, variant, monkeypatch):

@@ -174,6 +174,34 @@ class TestStep:
                               for rule in model.rules_by_head[stack[0]])
         assert step(model, state) == expected
 
+    @given(small_bpas(), st.lists(st.sampled_from(SYMBOLS + ("Q",)), max_size=3),
+           st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=2))
+    def test_matches_per_rule_join(self, model, stack, popped):
+        # Every symbol in ``popped`` gets a pop rule, and stacks are drawn
+        # down to one symbol and ~. The reference joins each rule's body
+        # onto the rest of the stack; Q has no rule. The first call at a
+        # head fills step's memo of joined bodies, and the second reads it.
+        rules = [r for r in model.rules if r.head not in popped]
+        for head in SYMBOLS:
+            if head in popped:
+                bodies = {r.body for r in model.rules if r.head == head} | {()}
+                rules += [BpaRule(head, body, Fraction(1, len(bodies))) for body in bodies]
+        model = Bpa.make(rules)
+        state = " ".join(stack) or "~"
+        head, _, rest = state.partition(" ")
+        tail = (rest,) if rest else ()
+        for _ in range(2):
+            if head == "Q":
+                with pytest.raises(UnknownSymbolError):
+                    step(model, state)
+                assert "Q" not in model.bodies_by_head
+            elif head == "~":
+                assert step(model, state) == [("~", ONE)]
+            else:
+                expected = sorted((" ".join(rule.body + tail) or "~", rule.probability)
+                                  for rule in model.rules_by_head[head])
+                assert step(model, state) == expected
+
 
 class TestModelText:
     def test_epsilon_rule(self):
