@@ -17,7 +17,7 @@ from .chain import Budget
 from .errors import PpdaInputError, bounded, quote, read_text
 from .pctl import has_placeholder, parse_formula, serialize_formula
 from .pushdown import Configuration, induced_chain, parse_model, serialize_model
-from .rationals import parse_rational
+from .rationals import parse_natural, parse_rational
 
 OK = 0
 NEGATIVE = 1
@@ -26,16 +26,24 @@ USAGE = 2
 _INPUT_ERRORS = (PpdaInputError, OSError)
 
 # The most index words `search` enumerates, counting every word
-# up to --max-k (n + n^2 + ... + n^K for n pairs). A certification session
-# holds about 5 KB per word on a 3-pair instance of pad length 3, so a
-# reduction search at the limit needs about 0.5 GB.
+# up to --max-k (n + n^2 + ... + n^K for n pairs). A reduction search's
+# memory grows with m^2 times the summed lengths of those words, for pad
+# length m, and not with their count alone: on a 2-vCPU host, 3 pairs of
+# pad length 3 at --max-k 10 (88,572 words) took 23 s and 585 MB, and
+# 2 pairs of pad length 32 at --max-k 10 (2,046 words) took 4.3 s and 463 MB.
 MAX_SEARCH_WORDS = 100_000
 
-# The largest `lemmas --sizes n,m,k`. Certification walks stacks of up to
-# m*k letter pairs and compiling writes about n^2 rules; on a 2-vCPU host
-# 100,32,32 took 8 s, while 3,64,128 took 131 s and 400,3,3 took 25 s.
+# The longest stack, in letter pairs, that `certify`, `search` and `lemmas`
+# certify: m*k for pad length m and words of k indices. A certification
+# session holds every suffix of the stack, so its memory grows with the
+# square of the stack: on a 2-vCPU host `certify` of one word of 4,000
+# indices of pad length 2 took 2.3 s and 575 MB, and `lemmas --sizes
+# 3,64,128` took 131 s.
+MAX_STACK_PAIRS = 1024
+
+# The most pairs of a `lemmas --sizes n,m,k` instance. Compiling writes
+# about n^2 rules: 400,3,3 took 25 s, and 100,32,32 took 8 s.
 MAX_LEMMA_PAIRS = 100
-MAX_LEMMA_STACK = 1024
 
 
 def check_search_cost(n: int, max_k: int) -> None:
@@ -57,6 +65,17 @@ def check_search_cost(n: int, max_k: int) -> None:
             )
 
 
+def check_stack(instance: reduction.PcpInstance, k: int, subject: str) -> None:
+    """Refuse words of ``k`` indices whose stack, ``k`` blocks of the
+    instance's pad length, is over ``MAX_STACK_PAIRS`` letter pairs."""
+    m = reduction.pad(instance).m
+    if m * k > MAX_STACK_PAIRS:
+        raise PpdaInputError(
+            f"{subject} with pad length {m} means a stack of {m * k} letter pairs, "
+            f"over the limit of {MAX_STACK_PAIRS}"
+        )
+
+
 def _cmd_compile(args) -> int:
     instance = reduction.load_instance(args.instance)
     variant = reduction.Variant.parse(args.variant)
@@ -75,7 +94,9 @@ def _cmd_compile(args) -> int:
 def _cmd_certify(args) -> int:
     instance = reduction.load_instance(args.instance)
     word = reduction.parse_index_word(args.word)
-    artifact = reduction.compile_instance(instance, reduction.Variant.parse(args.variant))
+    variant = reduction.Variant.parse(args.variant)
+    check_stack(instance, len(word), f"--word of {len(word)} indices")
+    artifact = reduction.compile_instance(instance, variant)
     report = reduction.certify(instance, word, artifact=artifact)
     sys.stdout.write(report.to_text())
     return OK if report.formula_holds else NEGATIVE
@@ -90,6 +111,7 @@ def _search_result_line(word, max_k: int) -> str:
 def _cmd_search(args) -> int:
     instance = reduction.load_instance(args.instance)
     check_search_cost(instance.n, args.max_k)
+    check_stack(instance, args.max_k, f"--max-k {args.max_k}")
     brute = reduced = None
     if args.engine in ("brute", "both"):
         brute = oracle.brute_force_pcp(instance, args.max_k)
@@ -139,14 +161,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_lemmas(args) -> int:
     try:
-        max_n, max_m, max_k = (int(p) for p in args.sizes.split(","))
+        max_n, max_m, max_k = (parse_natural(part.strip(" "), "size") for part in args.sizes.split(","))
         if max_n < 1 or max_m < 1 or max_k < 1:
             raise ValueError
     except ValueError:
         raise PpdaInputError(f"--sizes must be 'n,m,k' with positive integers, got {quote(args.sizes)}") from None
-    if max_n > MAX_LEMMA_PAIRS or max_m * max_k > MAX_LEMMA_STACK:
+    if max_n > MAX_LEMMA_PAIRS or max_m * max_k > MAX_STACK_PAIRS:
         raise PpdaInputError(f"--sizes {bounded(args.sizes)} is over the limits n <= {MAX_LEMMA_PAIRS} "
-                             f"and m*k <= {MAX_LEMMA_STACK}")
+                             f"and m*k <= {MAX_STACK_PAIRS}")
     failures = 0
     for name, failure in properties.run_suite(args.seed, max_n, max_m, max_k):
         if failure is None:
@@ -158,7 +180,8 @@ def _cmd_lemmas(args) -> int:
 
 
 _MAX_K_HELP = (f"longest index word to try; refused (exit 2) when the words up to this "
-               f"length, n + n^2 + ... + n^K for n pairs, are more than {MAX_SEARCH_WORDS} words")
+               f"length, n + n^2 + ... + n^K for n pairs, are more than {MAX_SEARCH_WORDS} words, "
+               f"or when K times the pad length is over {MAX_STACK_PAIRS} letter pairs")
 _VARIANT_HELP = (f"default | cf-simple | 'n-chain K'; refused (exit 2) when K > "
                  f"{reduction.MAX_CHAIN_LENGTH}")
 
@@ -178,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_certify = sub.add_parser("certify", help="certify one index word")
     p_certify.add_argument("--instance", required=True)
-    p_certify.add_argument("--word", required=True, help="comma-separated indices, e.g. 1,2")
+    p_certify.add_argument("--word", required=True, help=(
+        f"comma-separated indices, e.g. 1,2; refused (exit 2) when its length times the pad "
+        f"length is over {MAX_STACK_PAIRS} letter pairs"))
     p_certify.add_argument("--variant", default="default", help=_VARIANT_HELP)
     p_certify.set_defaults(func=_cmd_certify)
 
@@ -204,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lemmas = sub.add_parser("lemmas", help="run the seeded property suite")
     p_lemmas.add_argument("--seed", type=int, default=0)
     p_lemmas.add_argument("--sizes", default="2,2,3", help=(
-        f"'n,m,k' size bounds; refused (exit 2) when n > {MAX_LEMMA_PAIRS} or m*k > {MAX_LEMMA_STACK}"))
+        f"'n,m,k' size bounds; refused (exit 2) when n > {MAX_LEMMA_PAIRS} or m*k > {MAX_STACK_PAIRS}"))
     p_lemmas.set_defaults(func=_cmd_lemmas)
     return parser
 

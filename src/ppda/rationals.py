@@ -13,6 +13,7 @@ from fractions import Fraction
 from .errors import PpdaInputError, quote
 
 _RAT_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_NATURAL_RE = re.compile(r"[0-9]+")
 
 
 class RationalFormatError(PpdaInputError):
@@ -38,6 +39,21 @@ def parse_rational(text: str) -> Fraction:
     if den == 0:
         raise RationalFormatError(f"zero denominator: {quote(text)}")
     return Fraction(num, den)
+
+
+def parse_natural(text: str, subject: str, error: type[PpdaInputError] = PpdaInputError) -> int:
+    """The value of ``text``, a numeral of the ASCII digits 0-9 only.
+
+    ``int`` alone would also read a sign, underscores, surrounding
+    whitespace and the digits of other scripts; each is refused here with
+    ``error``, as is a numeral longer than the interpreter's digit limit.
+    """
+    if not _NATURAL_RE.fullmatch(text):
+        raise error(f"{subject} must be a numeral of digits 0-9, got {quote(text)}")
+    try:
+        return int(text)
+    except ValueError:  # the pattern admits digits only, so only the digit limit refuses them
+        raise error(f"{subject} of {len(text)} characters exceeds the interpreter's integer digit limit") from None
 
 
 def _decimal(n: int) -> str:

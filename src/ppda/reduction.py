@@ -15,7 +15,6 @@ cursors ``G(i,j)``, and the padding letter is ``_``.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -41,7 +40,7 @@ from .pctl import (
     disjunction,
 )
 from .pushdown import Bpa, BpaRule, ChainGenerator, Configuration, induced_chain
-from .rationals import format_rational
+from .rationals import format_rational, parse_natural
 
 PAD = "_"
 SIGMA = ("A", "B", PAD)
@@ -135,13 +134,11 @@ def erase_pad(word: str) -> str:
 
 
 def parse_index_word(text: str) -> tuple[int, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    """Comma-separated indices, each a numeral of the digits 0-9 that
+    spaces may surround."""
+    if not text.strip(" "):
         raise IndexRangeError("empty index word")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise IndexRangeError(f"malformed index word: {quote(text)}") from None
+    return tuple(parse_natural(part.strip(" "), "index", IndexRangeError) for part in text.split(","))
 
 
 def format_index_word(word) -> str:
@@ -286,14 +283,7 @@ class Variant:
         if kind is VariantKind.N_CHAIN:
             if len(tokens) > 2:
                 raise VariantFormatError(f"variant 'n-chain' takes one argument, got {quote(text)}")
-            try:
-                length = int(tokens[1]) if len(tokens) > 1 else 1
-            except ValueError:
-                if re.fullmatch(r"[+-]?\d+", tokens[1]):  # a numeral, so only the digit limit refuses it
-                    raise VariantFormatError(
-                        f"chain length of {len(tokens[1])} characters exceeds the interpreter's integer digit limit"
-                    ) from None
-                raise VariantFormatError(f"chain length must be an integer, got {quote(tokens[1])}") from None
+            length = parse_natural(tokens[1], "chain length", VariantFormatError) if len(tokens) > 1 else 1
             return cls(kind, length)
         if len(tokens) > 1:
             raise VariantFormatError(f"variant {quote(tokens[0])} takes no argument")
@@ -335,22 +325,17 @@ PHI2 = build_phi("F", lambda x, z: checked_symbol(z, x), "A", "B")
 
 def build_top_formula(kind: VariantKind, bounds: tuple[pctl.Bound, pctl.Bound] = _PLACEHOLDER_BOUNDS) -> StateFormula:
     """The top formula of ``kind``; ``bounds`` are those of its inner
-    conjunction, the placeholders t/2 and (1-t)/2 or their values."""
-    inner = _inner_conjunction(PHI1, PHI2, bounds)
-    if kind is VariantKind.CF_SIMPLE:
-        reached = And(Atom("C"), inner)
-    elif kind is VariantKind.N_CHAIN:
-        reached = And(
-            Atom("C"),
-            Prob(
-                Comparison.EQ,
-                ONE,
-                Until(TRUE_FORMULA, Prob(Comparison.EQ, ONE, Next(inner))),
-            ),
-        )
-    else:
-        reached = And(Atom("C"), Prob(Comparison.EQ, ONE, Next(inner)))
-    return Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, reached))
+    conjunction, the placeholders t/2 and (1-t)/2 or their values.
+
+    It depends on the check head only: ``cf-simple`` reads the inner
+    conjunction at C, every other variant one step later. Under ``n-chain
+    K`` that step reaches N1, not N. Each link moves on with probability
+    1, the left operands of phi1 and phi2 hold at every link head and
+    their right operands at none, so their values at N1 are those at N."""
+    reached = _inner_conjunction(PHI1, PHI2, bounds)
+    if kind is not VariantKind.CF_SIMPLE:
+        reached = Prob(Comparison.EQ, ONE, Next(reached))
+    return Prob(Comparison.GT, Fraction(0), Until(TRUE_FORMULA, And(Atom("C"), reached)))
 
 
 _TOP_FORMULAS = {kind: build_top_formula(kind) for kind in VariantKind}

@@ -177,6 +177,9 @@ def _listed_corpus() -> list[tuple[Path, tuple[int, ...] | None]]:
     return entries
 
 
+_VARIANTS = ("default", "cf-simple", "n-chain 2")
+
+
 def test_criterion_7_end_to_end_search_and_eval(capsys):
     timer = _Timer("criterion-7 end-to-end", 120.0)
     corpus = _listed_corpus()
@@ -194,25 +197,29 @@ def test_criterion_7_end_to_end_search_and_eval(capsys):
         else:
             ok = ok and code == 1 and printed[0] == "none up to 4"
 
-    # the reachability formula holds at Z with the certified t of the witness
+    # under every variant, the reachability formula holds at Z with the
+    # certified t of the witness
     for path, witness in corpus:
         if witness is None:
             continue
         instance = reduction.load_instance(path)
-        artifact = compile_instance(instance)
-        certified = certify(instance, witness, artifact=artifact)
-        top = instantiate_top_formula(artifact, certified.t)
-        k, m = len(witness), artifact.m
-        budget = Budget(20000, max((k + 1) * (m + 1) + 6, 2 * k * m + 16))
-        ok = ok and Evaluator(artifact.chain, budget).eval_state("Z", top) is TRUE
+        for variant in _VARIANTS:
+            artifact = compile_instance(instance, Variant.parse(variant))
+            certified = certify(instance, witness, artifact=artifact)
+            top = instantiate_top_formula(artifact, certified.t)
+            k, m = len(witness), artifact.m
+            budget = Budget(20000, max((k + 1) * (m + 1) + 6, 2 * k * m + 16))
+            ok = ok and Evaluator(artifact.chain, budget).eval_state("Z", top) is TRUE
 
-    # and is never reported True on the hopeless instance, at any budget tried
-    hopeless = compile_instance(PcpInstance((("A", "B"),)))
-    for t in (F(1, 2), F(3, 16)):
-        top = instantiate_top_formula(hopeless, t)
-        for budget in (Budget(200, 8), Budget(2000, 16), Budget(6000, 24)):
-            verdict = Evaluator(hopeless.chain, budget).eval_state("Z", top)
-            ok = ok and verdict is UNKNOWN
+    # and is never reported True on a hopeless instance, at any budget tried
+    for pair in (("A", "B"), ("B", "A")):
+        for variant in _VARIANTS:
+            hopeless = compile_instance(PcpInstance((pair,)), Variant.parse(variant))
+            for t in (F(1, 2), F(3, 16)):
+                top = instantiate_top_formula(hopeless, t)
+                for budget in (Budget(200, 8), Budget(2000, 16), Budget(6000, 24), Budget(20000, 24)):
+                    verdict = Evaluator(hopeless.chain, budget).eval_state("Z", top)
+                    ok = ok and verdict is UNKNOWN
     timer.finish(ok)
 
 

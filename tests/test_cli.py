@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ppda import cli, oracle, pctl, properties, pushdown, reduction
 from ppda.chain import InvalidPathError
 from ppda.cli import main
+from ppda.data import corpus_path
 from ppda.errors import InputEncodingError, PpdaInputError
 from ppda.pushdown import parse_model, validate_model
 from ppda.rationals import RationalFormatError
@@ -92,6 +93,35 @@ class TestCertify:
     def test_bad_index(self, p1_file):
         assert main(["certify", "--instance", p1_file, "--word", "0"]) == 2
 
+    @pytest.mark.parametrize("word", ["1_0", "+1", "1,,2", "1,", ",1", "\u0661,\u0662"])
+    def test_malformed_word_refused(self, p1_file, capsys, word):
+        assert main(["certify", "--instance", p1_file, "--word", word]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_word_over_the_stack_limit_refused(self, capsys, monkeypatch):
+        # 4,000 indices of pad length 2 are a stack of 8,000 letter pairs.
+        def certify(*args, **kwargs):
+            raise AssertionError("certify was called")
+
+        monkeypatch.setattr(reduction, "certify", certify)
+        instance = str(corpus_path().parent / "three_pairs.pcp")
+        assert main(["certify", "--instance", instance, "--word", ",".join(["1"] * 4000)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --word of 4000 indices with pad length 2 means a stack of 8000 letter pairs, "
+            "over the limit of 1024\n"
+        )
+
+    def test_stack_limit_boundary(self, capsys):
+        # 512 indices of pad length 2 fill the 1,024-pair limit exactly.
+        instance = str(corpus_path().parent / "three_pairs.pcp")
+        assert main(["certify", "--instance", instance, "--word", ",".join(["1"] * 512)]) == 1
+        assert "formula_holds=false" in capsys.readouterr().out
+        assert main(["certify", "--instance", instance, "--word", ",".join(["1"] * 513)]) == 2
+
     def test_deterministic_output(self, p1_file, capsys):
         main(["certify", "--instance", p1_file, "--word", "1,2"])
         first = capsys.readouterr().out
@@ -137,19 +167,46 @@ class TestSearch:
 
     def test_word_limit_boundary(self):
         # 3 + 9 + ... + 3^10 = 88,572 words are allowed; 3^11 more are not.
+        # One pair never reaches the word limit: its stack limit comes first.
         cli.check_search_cost(3, 10)
         with pytest.raises(PpdaInputError):
             cli.check_search_cost(3, 11)
-        cli.check_search_cost(1, cli.MAX_SEARCH_WORDS)
-        with pytest.raises(PpdaInputError):
-            cli.check_search_cost(1, cli.MAX_SEARCH_WORDS + 1)
         with pytest.raises(PpdaInputError):
             cli.check_search_cost(2, 10**15)
+
+    @pytest.mark.parametrize("engine", ["reduction", "brute", "both"])
+    def test_max_k_over_the_stack_limit_refused(self, unsolvable_file, capsys, monkeypatch, engine):
+        # One pair at --max-k 100,000 passes the word limit, but its
+        # longest stack holds 100,000 letter pairs.
+        def search(*args, **kwargs):
+            raise AssertionError("a search engine was called")
+
+        monkeypatch.setattr(oracle, "brute_force_pcp", search)
+        monkeypatch.setattr(oracle, "search_via_reduction", search)
+        assert main(["search", "--instance", unsolvable_file, "--max-k", "100000", "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --max-k 100000 with pad length 1 means a stack of 100000 letter pairs, "
+            "over the limit of 1024\n"
+        )
+
+    @pytest.mark.parametrize("text, max_k", [("A B\n", 1024), ("AB A\n", 512)])
+    def test_stack_limit_boundary(self, tmp_path, capsys, monkeypatch, text, max_k):
+        calls = []
+        monkeypatch.setattr(oracle, "search_via_reduction", lambda *args: calls.append(args[1]))
+        path = tmp_path / "one.pcp"
+        path.write_text(text)
+        assert main(["search", "--instance", str(path), "--max-k", str(max_k)]) == 1
+        assert main(["search", "--instance", str(path), "--max-k", str(max_k + 1)]) == 2
+        assert calls == [max_k]
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_word_limit_in_help(self, capsys):
         with pytest.raises(SystemExit):
             main(["search", "--help"])
-        assert "100000 words" in " ".join(capsys.readouterr().out.split())
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "100000 words" in help_text and "over 1024 letter pairs" in help_text
 
     def test_non_utf8_instance_refused(self, tmp_path, capsys):
         path = tmp_path / "bad.pcp"
@@ -514,6 +571,19 @@ class TestLemmas:
     def test_invalid_sizes(self):
         assert main(["lemmas", "--sizes", "3,3"]) == 2
         assert main(["lemmas", "--sizes", "a,b,c"]) == 2
+
+    @pytest.mark.parametrize("sizes", ["1_0,1,1", "+1,1,1", "1,,1", "1,1,1,", ",1,1,1", "\u0661,1,1"])
+    def test_sizes_are_ascii_numerals(self, capsys, sizes):
+        assert main(["lemmas", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sizes must be 'n,m,k'") and captured.err.count("\n") == 1
+
+    def test_spaces_around_commas_accepted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(properties, "run_suite", lambda *args: calls.append(args) or [])
+        assert main(["lemmas", "--sizes", " 2 , 2 ,3"]) == 0
+        assert calls == [(0, 2, 2, 3)]
 
     @pytest.mark.parametrize("sizes", ["101,1,1", "1,33,32", "1,1,1025"])
     def test_oversized_sizes_refused(self, capsys, monkeypatch, sizes):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conftest
 from ppda import oracle, pctl, reduction
@@ -29,16 +29,25 @@ from ppda.reduction import (
     guess_path_probability,
     instantiate_top_formula,
     pad,
+    parse_index_word,
     parse_instance,
     rho,
     rho_bar,
     serialize_instance,
+    sweep_session,
     theta,
     theta_bar,
 )
 
 F = Fraction
 _words = st.text(alphabet="AB", min_size=1, max_size=20)
+_VARIANTS = ("default", "cf-simple", "n-chain 2")
+
+# Its solutions have u = B^(2i) and certify t = 1/8, 1/32, ..., never 1/16.
+# The non-solution 1,2,2,2,2,3 (u = BBBB, v = BBBA) satisfies the inner
+# conjunction at t = 1/16 once the check head is popped, so a top formula
+# that reads it there holds at t = 1/16.
+_THREE_PAIRS = PcpInstance((("", "BB"), ("B", ""), ("", "BA")))
 
 
 class TestPadding:
@@ -97,6 +106,22 @@ class TestCheckSolution:
             check_solution(p1, (3,))
         with pytest.raises(IndexRangeError):
             check_solution(p1, ())
+
+
+class TestIndexWordText:
+    @pytest.mark.parametrize("text, word", [("1", (1,)), ("1,2", (1, 2)), (" 1 , 2 ", (1, 2)), ("007", (7,))])
+    def test_parse(self, text, word):
+        assert parse_index_word(text) == word
+
+    @pytest.mark.parametrize("text", ["", " ", "1_0", "+1", "-1", "1,,2", "1,", ",1", "1 2", "\u0661,\u0662",
+                                      "1,\t2", "x"])
+    def test_only_ascii_numerals_between_commas(self, text):
+        with pytest.raises(IndexRangeError):
+            parse_index_word(text)
+
+    def test_index_over_the_digit_limit_refused(self, digit_limit):
+        with pytest.raises(IndexRangeError, match="integer digit limit"):
+            parse_index_word("1," + "9" * 5000)
 
 
 class TestInstanceText:
@@ -417,6 +442,15 @@ class TestVariants:
         with pytest.raises(ValueError):
             Variant.parse("bogus")
 
+    @pytest.mark.parametrize("length", ["1_0", "+2", "-1", "\u0663", "2.0", "0x2"])
+    def test_chain_length_is_an_ascii_numeral(self, length):
+        with pytest.raises(reduction.VariantFormatError, match="digits 0-9"):
+            Variant.parse(f"n-chain {length}")
+
+    def test_chain_length_over_the_digit_limit_refused(self, digit_limit):
+        with pytest.raises(reduction.VariantFormatError, match="integer digit limit"):
+            Variant.parse("n-chain " + "9" * 5000)
+
     def test_collapsed_check_drops_intermediate_symbol(self, p1):
         artifact = compile_instance(p1, Variant.parse("cf-simple"))
         assert "N" not in artifact.bpa.alphabet
@@ -480,3 +514,71 @@ class TestTopFormula:
         assert until.right.left == Atom("C")
         inner_prob = until.right.right
         assert isinstance(inner_prob, Prob) and isinstance(inner_prob.path, Next)
+
+
+def _solution_certifying(instance: PcpInstance, t: Fraction):
+    """A solution whose certified t is ``t``, or None if there is none.
+
+    A solution certifies ``t`` when its erased u-word is u_t, the word
+    with ``t = rho(u_t^R Z')``: a dyadic t of denominator 2^(|u_t|+1).
+    Dropping its pairs of two empty words leaves a solution with the same
+    words, and each pair left adds a letter to u or to v, so some such
+    solution has at most 2*|u_t| pairs, or is one pair of two empty words.
+    """
+    assert t.denominator & (t.denominator - 1) == 0
+    bound = max(1, 2 * (t.denominator.bit_length() - 2))
+    artifact = compile_instance(instance)
+    session = sweep_session(artifact, bound)
+    for word in oracle.index_words(instance.n, bound):
+        if check_solution(instance, word) and certify(instance, word, artifact=artifact, session=session).t == t:
+            return word
+    return None
+
+
+@st.composite
+def _instances_and_t(draw):
+    """A small instance and a t: one that an index word of it certifies, or
+    a dyadic rational with a denominator of at most 32."""
+    instance = draw(conftest.pcp_instances())
+    word = draw(st.lists(st.integers(1, instance.n), min_size=1, max_size=3))
+    exponent = draw(st.integers(1, 5))
+    dyadic = F(2 * draw(st.integers(0, 2 ** (exponent - 1) - 1)) + 1, 2 ** exponent)
+    return instance, draw(st.sampled_from([certify(instance, word).t, dyadic]))
+
+
+class TestTopFormulaSoundness:
+    """The top formula at Z holds exactly when some solution certifies t,
+    under every variant."""
+
+    @settings(max_examples=60)
+    @given(_instances_and_t(), st.sampled_from(_VARIANTS))
+    @example((PcpInstance((("B", "A"),)), F(1, 2)), "n-chain 1")
+    @example((PcpInstance((("B", "A"),)), F(1, 2)), "n-chain 2")
+    @example((_THREE_PAIRS, F(1, 16)), "n-chain 2")
+    def test_verdict_agrees_with_brute_force(self, case, variant):
+        instance, t = case
+        artifact = compile_instance(instance, Variant.parse(variant))
+        top = instantiate_top_formula(artifact, t)
+        verdict = pctl.Evaluator(artifact.chain, Budget(6000, 24)).eval_state("Z", top)
+        if verdict is pctl.TRUE:
+            assert _solution_certifying(instance, t) is not None
+        elif verdict is pctl.FALSE:
+            assert _solution_certifying(instance, t) is None
+
+    @pytest.mark.parametrize("variant", _VARIANTS)
+    def test_three_pairs_hold_only_at_a_certified_t(self, variant):
+        artifact = compile_instance(_THREE_PAIRS, Variant.parse(variant))
+        budget = Budget(20000, 24)
+        held = pctl.Evaluator(artifact.chain, budget).eval_state("Z", instantiate_top_formula(artifact, F(1, 8)))
+        unheld = pctl.Evaluator(artifact.chain, budget).eval_state("Z", instantiate_top_formula(artifact, F(1, 16)))
+        assert held is pctl.TRUE and unheld is not pctl.TRUE
+        assert _solution_certifying(_THREE_PAIRS, F(1, 8)) == (1, 2, 2)
+        assert _solution_certifying(_THREE_PAIRS, F(1, 16)) is None
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_chain_shares_the_default_top_formula(self, p1, p1_artifact, length):
+        assert compile_instance(p1, Variant(VariantKind.N_CHAIN, length)).top_formula is p1_artifact.top_formula
+
+    def test_longest_chain_top_formula_reads_back(self, p1):
+        artifact = compile_instance(p1, Variant(VariantKind.N_CHAIN, reduction.MAX_CHAIN_LENGTH))
+        assert pctl.parse_formula(serialize_formula(artifact.top_formula)) is artifact.top_formula
