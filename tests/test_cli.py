@@ -167,10 +167,14 @@ class TestSearch:
 
     def test_word_limit_boundary(self):
         # 3 + 9 + ... + 3^10 = 88,572 words are allowed; 3^11 more are not.
-        # One pair never reaches the word limit: its stack limit comes first.
+        # One pair adds one word per step. The CLI refuses one pair long
+        # before this limit, through check_stack (1,024 letter pairs).
         cli.check_search_cost(3, 10)
         with pytest.raises(PpdaInputError):
             cli.check_search_cost(3, 11)
+        cli.check_search_cost(1, cli.MAX_SEARCH_WORDS)
+        with pytest.raises(PpdaInputError):
+            cli.check_search_cost(1, cli.MAX_SEARCH_WORDS + 1)
         with pytest.raises(PpdaInputError):
             cli.check_search_cost(2, 10**15)
 

@@ -516,6 +516,11 @@ class TestTopFormula:
         assert isinstance(inner_prob, Prob) and isinstance(inner_prob.path, Next)
 
 
+# The longest u_t whose solutions are brute-forced: 2*4 pairs of at most
+# three indices is 9,840 index words.
+_MAX_CERTIFIED_LENGTH = 4
+
+
 def _solution_certifying(instance: PcpInstance, t: Fraction):
     """A solution whose certified t is ``t``, or None if there is none.
 
@@ -527,6 +532,7 @@ def _solution_certifying(instance: PcpInstance, t: Fraction):
     """
     assert t.denominator & (t.denominator - 1) == 0
     bound = max(1, 2 * (t.denominator.bit_length() - 2))
+    assert bound <= 2 * _MAX_CERTIFIED_LENGTH, f"t = {t} needs {bound} pairs"
     artifact = compile_instance(instance)
     session = sweep_session(artifact, bound)
     for word in oracle.index_words(instance.n, bound):
@@ -537,13 +543,17 @@ def _solution_certifying(instance: PcpInstance, t: Fraction):
 
 @st.composite
 def _instances_and_t(draw):
-    """A small instance and a t: one that an index word of it certifies, or
-    a dyadic rational with a denominator of at most 32."""
+    """A small instance and a t of denominator at most 2^(4+1), so that
+    |u_t| is at most 4: one that an index word of it certifies, when that
+    word's u_t is short enough, or a dyadic rational."""
     instance = draw(conftest.pcp_instances())
     word = draw(st.lists(st.integers(1, instance.n), min_size=1, max_size=3))
-    exponent = draw(st.integers(1, 5))
+    exponent = draw(st.integers(1, _MAX_CERTIFIED_LENGTH + 1))
     dyadic = F(2 * draw(st.integers(0, 2 ** (exponent - 1) - 1)) + 1, 2 ** exponent)
-    return instance, draw(st.sampled_from([certify(instance, word).t, dyadic]))
+    certified = certify(instance, word).t
+    if certified.denominator > 2 ** (_MAX_CERTIFIED_LENGTH + 1):
+        return instance, dyadic
+    return instance, draw(st.sampled_from([certified, dyadic]))
 
 
 class TestTopFormulaSoundness:
